@@ -9,8 +9,7 @@ from .matrix import MatrixSolution, MatrixSolveError, solve_matrix_game
 from .discounted import (DiscountedSolution, SolutionCache,
                          SolverIterationError, estimate_value_limit,
                          shapley_operator, solve_discounted)
-from .counter import (CounterConfig, CounterState, FeasibilityError,
-                      make_config, make_state, sample_update, select_action,
+from .counter import (CounterConfig, FeasibilityError, make_config,
                       update_distribution, validate_constants)
 from .adversary import (MixedAdversary, PublicMemoryStrategyTable,
                         PureClockedAdversary, WorthlessnessError,
@@ -21,8 +20,7 @@ from .adversary import (MixedAdversary, PublicMemoryStrategyTable,
 from .engine import (CounterStrategy, EpisodeTrace, MemoryBoundReport,
                      RunStatistics, StationaryStrategy, TableStrategy,
                      default_checkpoints, memory_bound_report, monte_carlo,
-                     run_episode, run_traces, write_statistics_csv,
-                     write_trace_csv)
+                     run_traces, write_statistics_csv, write_trace_csv)
 
 __version__ = "0.1.0"
 
@@ -32,8 +30,7 @@ __all__ = [
     "MatrixSolution", "MatrixSolveError", "solve_matrix_game",
     "DiscountedSolution", "SolutionCache", "SolverIterationError",
     "estimate_value_limit", "shapley_operator", "solve_discounted",
-    "CounterConfig", "CounterState", "FeasibilityError", "make_config",
-    "make_state", "sample_update", "select_action", "update_distribution",
+    "CounterConfig", "FeasibilityError", "make_config", "update_distribution",
     "validate_constants",
     "MixedAdversary", "PublicMemoryStrategyTable", "PureClockedAdversary",
     "WorthlessnessError", "best_response_public",
@@ -42,7 +39,7 @@ __all__ = [
     "stationary_adversary",
     "CounterStrategy", "EpisodeTrace", "MemoryBoundReport", "RunStatistics",
     "StationaryStrategy", "TableStrategy", "default_checkpoints",
-    "memory_bound_report", "monte_carlo", "run_episode", "run_traces",
+    "memory_bound_report", "monte_carlo", "run_traces",
     "write_statistics_csv", "write_trace_csv",
     "__version__",
 ]

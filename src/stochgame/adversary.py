@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .games import NormalizedGame
+from .counter import update_distribution
+from .games import NormalizedGame, sample_rows
 
 PROB_TOL = 1e-9
 
@@ -130,34 +131,23 @@ def from_counter_strategy(ngame: NormalizedGame, config, cache, cap: int,
     absorption the true counter sees a constant payoff instead, but memory
     evolution there influences neither payoffs nor best responses.
     """
-    from .counter import make_state, update_distribution
-
     game = ngame.game
     live = game.initial_state
-    m_states = cap + 1
-    action = np.zeros((1, m_states, game.n_actions1))
-    kernel = np.zeros((1, m_states, game.n_actions1, game.n_actions2,
-                       game.n_states, m_states))
-    for m in range(m_states):
-        sol = cache.at(m)
-        action[0, m] = sol.strategy1[live]
-        state = make_state(config, m)
-        for i in range(game.n_actions1):
-            for j in range(game.n_actions2):
-                x = float(game.payoff[live, i, j])
-                for z_next in range(game.n_states):
-                    upd = update_distribution(config, state, x,
-                                              float(sol.values[z_next]))
-                    p_up, p_stay = upd.p_up, upd.p_stay
-                    if m == cap:
-                        p_stay += p_up
-                        p_up = 0.0
-                    if m > 0:
-                        kernel[0, m, i, j, z_next, m - 1] = upd.p_down
-                    kernel[0, m, i, j, z_next, m] = p_stay
-                    if m < cap:
-                        kernel[0, m, i, j, z_next, m + 1] = p_up
-    return PublicMemoryStrategyTable(memory_states=m_states, horizon=horizon,
+    m = np.arange(cap + 1)
+    sols = [cache.at(k) for k in m.tolist()]
+    action = np.array([[sol.strategy1[live] for sol in sols]])
+    upd = update_distribution(
+        config, m[:, None, None, None], game.payoff[live][None, :, :, None],
+        np.stack([sol.values for sol in sols])[:, None, None, :])
+    p_stay = upd.p_stay.copy()
+    p_stay[cap] += upd.p_up[cap]
+    kernel = np.zeros((1, cap + 1, game.n_actions1, game.n_actions2,
+                       game.n_states, cap + 1))
+    moves = kernel[0]  # (M, I, J, Z', M')
+    moves[m, ..., m] = p_stay
+    moves[m[1:], ..., m[:-1]] = upd.p_down[1:]
+    moves[m[:-1], ..., m[1:]] = upd.p_up[:-1]
+    return PublicMemoryStrategyTable(memory_states=cap + 1, horizon=horizon,
                                      action=action, memory_kernel=kernel)
 
 
@@ -209,61 +199,6 @@ def best_response_public(ngame: NormalizedGame,
                         value=float(values[z0, initial_memory]) / horizon)
 
 
-def best_response_exact(payoff, transition, action, kernel, horizon: int,
-                        initial_state: int, initial_memory: int = 0):
-    """Exact-arithmetic twin of best_response_public on nested lists.
-
-    Inputs may be Fractions (or any exact numbers); no floats are introduced
-    so the result is exactly comparable with an enumeration oracle.  action
-    is [t][m][i] and kernel is [t][m][i][j][z'][m'], both indexed from
-    stage 1 at index 0.  Ties break toward the higher action index, same as
-    the float path.  Returns (policy[t][z][m], total_value / horizon).
-    """
-    nz = len(payoff)
-    ni = len(payoff[0])
-    nj = len(payoff[0][0])
-    m_states = len(action[0])
-    values = [[0 for _ in range(m_states)] for _ in range(nz)]
-    policy = []
-    for t in range(horizon, 0, -1):
-        act = action[t - 1]
-        ker = kernel[t - 1]
-        new_values = [[0] * m_states for _ in range(nz)]
-        stage_policy = [[0] * m_states for _ in range(nz)]
-        for z in range(nz):
-            for m in range(m_states):
-                best = None
-                best_j = 0
-                for j in range(nj):
-                    total = 0
-                    for i in range(ni):
-                        w = act[m][i]
-                        if w == 0:
-                            continue
-                        cont = 0
-                        for z2 in range(nz):
-                            p = transition[z][i][j][z2]
-                            if p == 0:
-                                continue
-                            inner = 0
-                            for m2 in range(m_states):
-                                km = ker[m][i][j][z2][m2]
-                                if km != 0:
-                                    inner += km * values[z2][m2]
-                            cont += p * inner
-                        total += w * (payoff[z][i][j] + cont)
-                    if best is None or total <= best:
-                        best = total
-                        best_j = j
-                new_values[z][m] = best
-                stage_policy[z][m] = best_j
-        values = new_values
-        policy.append(stage_policy)
-    policy.reverse()
-    total = values[initial_state][initial_memory]
-    return policy, total / horizon
-
-
 # ---------------------------------------------------------------------------
 # adversary objects consumed by the simulation engine
 
@@ -287,9 +222,7 @@ class StationaryAdversary:
         return None
 
     def act(self, t, z, m, comp, u):
-        rows = self.cum[z]
-        idx = (u[:, None] >= rows).sum(axis=1)
-        return np.minimum(idx, rows.shape[1] - 1)
+        return sample_rows(self.cum[z], u)
 
 
 def stationary_adversary(dist) -> StationaryAdversary:
@@ -324,9 +257,7 @@ class MarkovAdversary:
         return None
 
     def act(self, t, z, m, comp, u):
-        rows = self.cum[min(t - 1, self.cum.shape[0] - 1)][z]
-        idx = (u[:, None] >= rows).sum(axis=1)
-        return np.minimum(idx, rows.shape[1] - 1)
+        return sample_rows(self.cum[min(t - 1, self.cum.shape[0] - 1)][z], u)
 
 
 def markov_adversary(dist_table) -> MarkovAdversary:
@@ -564,7 +495,8 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     >= delta/(3M)); n_i is the least stage where the absorb-action budget of
     the enlarged set stays below delta/3 and the post-n_i absorb-at-zero
     tail is below tail_tol.  Components are collected until their number
-    exceeds (M+1)/delta.
+    exceeds (M+1)/delta; once a step adds no pair, the remaining components
+    are copies of the last one.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -646,9 +578,17 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
         n_i = int(feasible[0]) + 1
         switch_stages.append(n_i)
         tails.append(float(tail0[n_i - 1]))
-        for t in sel_t:
-            if t + 1 >= n_i:
-                ones[t, selection[t]] = True
+        added = sel_t[sel_t + 1 >= n_i]
+        if added.size == 0:
+            # The one-set is final: every later step would repeat this one.
+            rest = n_components - 1 - comp_index
+            components += [components[-1]] * rest
+            budgets += [budgets[-1]] * rest
+            stage_payoffs[comp_index + 1:] = payoffs
+            switch_stages += [n_i] * (rest - 1)
+            tails += [tails[-1]] * (rest - 1)
+            break
+        ones[added, selection[added]] = True
 
     component_avgs = tuple(float(x) for x in stage_payoffs.mean(axis=1))
     certificate = WorthlessnessCertificate(

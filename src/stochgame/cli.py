@@ -71,6 +71,13 @@ def _parse_checkpoints(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def _workers(args) -> int:
+    workers = int(_merge(args, "workers", 1))
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
+    return workers
+
+
 def _counter_config(args) -> CounterConfig:
     epsilon = float(_merge(args, "epsilon", 0.2))
     base = float(_merge(args, "base", 100.0))
@@ -162,7 +169,7 @@ def cmd_simulate(args) -> int:
     horizon = int(_merge(args, "horizon", 1000))
     replications = int(_merge(args, "replications", 100))
     seed = int(_merge(args, "seed", 1))
-    workers = int(_merge(args, "workers", 1))
+    workers = _workers(args)
     checkpoints = _parse_checkpoints(_merge(args, "checkpoints", None))
     adversary_name = _merge(args, "adversary", "uniform")
 
@@ -213,7 +220,7 @@ def cmd_impossibility(args) -> int:
     tail_tol = float(_merge(args, "tail_tol", 1e-3))
     seed = int(_merge(args, "seed", 1))
     replications = int(_merge(args, "replications", 2000))
-    workers = int(_merge(args, "workers", 1))
+    workers = _workers(args)
 
     sigma_src = _merge(args, "sigma", None)
     wrap_cap = _merge(args, "wrap_counter_cap", None)

@@ -42,9 +42,6 @@ def discount_rate(position: float) -> float:
     return 1.0 / (position * log * log)
 
 
-RATE_MAPS = {"inv-s-log2": discount_rate}
-
-
 @dataclass(frozen=True)
 class CounterConfig:
     """Parameters of the counter strategy.
@@ -63,47 +60,25 @@ class CounterConfig:
     base: float
     memory_slope: float
     min_horizon: float
-    rate_map: str = "inv-s-log2"
 
     def position_at(self, level: int) -> float:
         return self.growth ** level * self.base
 
     def rate_at(self, level: int) -> float:
-        return RATE_MAPS[self.rate_map](self.position_at(level))
-
-    @property
-    def minimal_base(self) -> float:
-        return 9.0 * self.growth / (8.0 * (self.growth - 1.0))
-
-
-@dataclass(frozen=True)
-class CounterState:
-    """Memory level k and its grid position s = base * growth^k."""
-
-    level: int
-    position: float
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"counter level must be >= 0, got {self.level}")
-
-
-def make_state(config: CounterConfig, level: int) -> CounterState:
-    return CounterState(level=level, position=config.position_at(level))
+        return discount_rate(self.position_at(level))
 
 
 @dataclass(frozen=True)
 class MemoryUpdate:
-    """One-step distribution of the level move: up one, stay, down one."""
+    """Move probabilities of the level: up one, stay, down one (arrays)."""
 
-    p_up: float
-    p_stay: float
-    p_down: float
+    p_up: np.ndarray
+    p_stay: np.ndarray
+    p_down: np.ndarray
 
 
 def make_config(epsilon: float, base: float,
-                memory_slope: float | None = None,
-                rate_map: str = "inv-s-log2") -> CounterConfig:
+                memory_slope: float | None = None) -> CounterConfig:
     """Build a validated CounterConfig.
 
     Rejects infeasible bases: base * (growth-1) / growth >= 9/8 is required
@@ -114,9 +89,6 @@ def make_config(epsilon: float, base: float,
         raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
     if base <= 2.0:
         raise ValueError(f"base must exceed 2, got {base}")
-    if rate_map not in RATE_MAPS:
-        raise ValueError(f"unknown rate map {rate_map!r}; "
-                         f"available: {sorted(RATE_MAPS)}")
     growth = 1.0 + epsilon / 9.0
     # epsilon/9 instead of growth-1: the subtraction loses ~2 ulp and would
     # reject the exact minimal base.
@@ -133,57 +105,43 @@ def make_config(epsilon: float, base: float,
         raise ValueError(
             f"memory_slope {memory_slope:g} below the admissible minimum "
             f"4/ln(growth) = {slope:.6g}")
-    min_horizon = 72.0 / (epsilon ** 2 * RATE_MAPS[rate_map](base))
+    min_horizon = 72.0 / (epsilon ** 2 * discount_rate(base))
     return CounterConfig(epsilon=epsilon, growth=growth, base=base,
-                         memory_slope=memory_slope, min_horizon=min_horizon,
-                         rate_map=rate_map)
+                         memory_slope=memory_slope, min_horizon=min_horizon)
 
 
-def _check_unit(name: str, x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {x}")
+def _unit(name: str, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    inside = (0.0 <= x) & (x <= 1.0)
+    if not inside.all():
+        raise ValueError(f"{name} must lie in [0, 1], got {x[~inside].flat[0]}")
+    return x
 
 
-def update_distribution(config: CounterConfig, state: CounterState,
-                        payoff: float, value_next: float) -> MemoryUpdate:
+def update_distribution(config: CounterConfig, level, payoff,
+                        value_next) -> MemoryUpdate:
     """Closed-form one-step move probabilities of the counter level.
 
-    With d = payoff - value_next + epsilon/2 and s the current position:
+    The arguments broadcast against each other.  With
+    d = payoff - value_next + epsilon/2 and s = config.position_at(level):
     d > 0 moves up with probability d/(s(growth-1)); d < 0 moves down with
     probability |d|*growth/(s(growth-1)) unless already at level 0; d = 0
     stays put.  The expected position increment is exactly d (its positive
     part at level 0), and the move probability is at most 2/(s(growth-1)).
+    A uniform u moves up when u < p_up and down when u >= p_up + p_stay.
     """
-    _check_unit("payoff", payoff)
-    _check_unit("value_next", value_next)
+    level = np.asarray(level, dtype=np.int64)
+    if np.any(level < 0):
+        raise ValueError(f"counter level must be >= 0, got {level.min()}")
+    payoff = _unit("payoff", payoff)
+    value_next = _unit("value_next", value_next)
+    position = np.array([config.position_at(k) for k in level.ravel().tolist()]
+                        ).reshape(level.shape)
     d = payoff - value_next + config.epsilon / 2.0
-    denom = state.position * (config.growth - 1.0)
-    p_up = 0.0
-    p_down = 0.0
-    if d > 0.0:
-        p_up = d / denom
-    elif d < 0.0 and state.level > 0:
-        p_down = -d * config.growth / denom
+    denom = position * (config.growth - 1.0)
+    p_up = np.where(d > 0.0, d / denom, 0.0)
+    p_down = np.where((d < 0.0) & (level > 0), -d * config.growth / denom, 0.0)
     return MemoryUpdate(p_up=p_up, p_stay=1.0 - p_up - p_down, p_down=p_down)
-
-
-def sample_update(config: CounterConfig, state: CounterState, payoff: float,
-                  value_next: float, draw: float) -> CounterState:
-    """Map a uniform draw through the (up, stay, down) thresholds."""
-    update = update_distribution(config, state, payoff, value_next)
-    if draw < update.p_up:
-        return make_state(config, state.level + 1)
-    if draw < update.p_up + update.p_stay:
-        return state
-    return make_state(config, state.level - 1)
-
-
-def select_action(config: CounterConfig, ngame: NormalizedGame,
-                  state: CounterState, z: int,
-                  cache: SolutionCache) -> np.ndarray:
-    """Player 1's mixture at state z: the optimal row strategy of the
-    lambda(s)-discounted game at the current counter level."""
-    return cache.at(state.level).strategy1[z]
 
 
 @dataclass(frozen=True)
@@ -233,10 +191,11 @@ def validate_constants(config: CounterConfig, ngame: NormalizedGame,
     """Check the four regime inequalities on the realized grid.
 
     Report-only: a failed line means the chosen base is too small for this
-    game at this epsilon, not that an operation will raise.
+    game at this epsilon, not that an operation will raise.  The small-rate
+    limit is estimated by the deepest level's values, its spread by the
+    per-state range over the last three levels.  Every value is read from
+    the cache, which solves ngame; ngame itself is not read.
     """
-    from .discounted import estimate_value_limit
-
     if grid_depth < 1:
         raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
     eps = config.epsilon
@@ -245,9 +204,9 @@ def validate_constants(config: CounterConfig, ngame: NormalizedGame,
     positions = {k: config.position_at(k) for k in levels}
     rates = {k: config.rate_at(k) for k in levels}
 
-    tail = levels[-min(3, len(levels)):]
-    limit = estimate_value_limit(ngame, [rates[k] for k in tail],
-                                 tol=cache.tol)
+    tail = np.stack([values[k] for k in levels[-3:]])
+    limit = values[grid_depth]
+    limit_spread = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
 
     variation = []
     for k in levels[:-1]:
@@ -256,7 +215,7 @@ def validate_constants(config: CounterConfig, ngame: NormalizedGame,
                                      - 1.0 / math.log(positions[k + 1]))
         variation.append(bound - gap)
 
-    floor = [float(np.min(values[k] - (limit.values - eps / 8.0)))
+    floor = [float(np.min(values[k] - (limit - eps / 8.0)))
              for k in levels]
 
     step_log = []
@@ -283,4 +242,4 @@ def validate_constants(config: CounterConfig, ngame: NormalizedGame,
         ConstantsCheck("step_log", tuple(levels), tuple(step_log)),
         ConstantsCheck("rate_variation", tuple(rate_levels), tuple(rate_var)),
     )
-    return ConstantsReport(checks=checks, limit_spread=limit.spread)
+    return ConstantsReport(checks=checks, limit_spread=limit_spread)

@@ -223,12 +223,3 @@ class SolutionCache:
             delta_floor=self.DEEP_FLOOR)
         with self._lock:
             return self._solutions.setdefault(k, sol)
-
-    def ensure(self, k_max: int) -> None:
-        for k in range(k_max + 1):
-            self.at(k)
-
-
-def solution_at_counter(cache: SolutionCache, k: int) -> DiscountedSolution:
-    """Solution at counter level k (rate lambda(gamma^k M)), cached."""
-    return cache.at(k)

@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counter import CounterConfig, update_distribution, make_state
+from .counter import CounterConfig, update_distribution
 from .discounted import SolutionCache
-from .games import NormalizedGame, is_absorbing, transition_cdf
+from .games import NormalizedGame, is_absorbing, sample_rows, transition_cdf
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99, 1.0)
 
@@ -36,12 +37,6 @@ STATS_COLUMNS = ("n", "mean_avg_payoff", "payoff_se",
                  "max_memory_q50", "max_memory_q90", "max_memory_q99",
                  "max_memory_q100", "exceed_rate", "uniform_exceed_rate")
 TRACE_COLUMNS = ("replication", "t", "z", "k", "i", "j", "x")
-
-
-def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Smallest index a with u < cum_rows[., a]; same rule as sample_index."""
-    idx = (u[:, None] >= cum_rows).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +58,7 @@ class StationaryStrategy:
         pass
 
     def act(self, t, z, k, u):
-        return _sample_rows(self.cum[z], u)
+        return sample_rows(self.cum[z], u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
         return k
@@ -74,7 +69,7 @@ class CounterStrategy:
 
     Per-level action mixtures and memory-update thresholds are materialized
     into flat tables, grown on demand as simulated counters climb; the
-    thresholds reproduce sample_update exactly (same two float comparisons).
+    thresholds are update_distribution's p_up and p_up + p_stay.
     """
 
     def __init__(self, ngame: NormalizedGame, config: CounterConfig,
@@ -101,40 +96,25 @@ class CounterStrategy:
         with self._lock:
             if levels <= self._levels:
                 return
-            game = self.ngame.game
-            nz, ni, nj = game.n_states, game.n_actions1, game.n_actions2
-            target = max(levels, self._levels * 2, 8)
-            cum = np.zeros((target, nz, ni))
-            t_up = np.zeros((target, nz, ni, nj, nz))
-            t_stay = np.zeros((target, nz, ni, nj, nz))
-            cum[:self._levels] = self._cum_act
-            t_up[:self._levels] = self._thresh_up
-            t_stay[:self._levels] = self._thresh_stay
-            for lvl in range(self._levels, target):
-                sol = self.cache.at(lvl)
-                cum[lvl] = np.cumsum(sol.strategy1, axis=-1)
-                state = make_state(self.config, lvl)
-                for z in range(nz):
-                    for i in range(ni):
-                        for j in range(nj):
-                            x = float(game.payoff[z, i, j])
-                            for zn in range(nz):
-                                upd = update_distribution(
-                                    self.config, state, x,
-                                    float(sol.values[zn]))
-                                t_up[lvl, z, i, j, zn] = upd.p_up
-                                t_stay[lvl, z, i, j, zn] = upd.p_up + upd.p_stay
-            self._cum_act = cum
-            self._thresh_up = t_up
-            self._thresh_stay = t_stay
-            self._levels = target
+            new = np.arange(self._levels, max(levels, self._levels * 2, 8))
+            sols = [self.cache.at(k) for k in new.tolist()]
+            upd = update_distribution(
+                self.config, new[:, None, None, None, None],
+                self.ngame.game.payoff[None, :, :, :, None],
+                np.stack([sol.values for sol in sols])[:, None, None, None, :])
+            self._cum_act = np.concatenate(
+                [self._cum_act, np.cumsum([s.strategy1 for s in sols], axis=-1)])
+            self._thresh_up = np.concatenate([self._thresh_up, upd.p_up])
+            self._thresh_stay = np.concatenate(
+                [self._thresh_stay, upd.p_up + upd.p_stay])
+            self._levels = int(new[-1]) + 1
 
     def act(self, t, z, k, u):
         top = int(k.max()) + 1
         if top > self._levels:
             self._ensure(top)
         rows = self._cum_act[k, z]
-        return _sample_rows(rows, u)
+        return sample_rows(rows, u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
         up = self._thresh_up[k, z, i, j, z_next]
@@ -162,11 +142,11 @@ class TableStrategy:
 
     def act(self, t, z, k, u):
         rows = self._row(self._cum_act, t)[k]
-        return _sample_rows(rows, u)
+        return sample_rows(rows, u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
         rows = self._row(self._cum_ker, t)[k, i, j, z_next]
-        return _sample_rows(rows, u)
+        return sample_rows(rows, u)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +172,6 @@ class EpisodeTrace:
     stage_action2: np.ndarray
     stage_payoff: np.ndarray
     absorption_stage: int | None
-
-    @property
-    def stages(self):
-        return list(zip(self.stage_state.tolist(),
-                        self.stage_memory.tolist(),
-                        self.stage_action1.tolist(),
-                        self.stage_action2.tolist(),
-                        self.stage_payoff.tolist()))
 
 
 @dataclass(frozen=True)
@@ -320,8 +292,7 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                 uniform_flag |= k > memory_thresholds.stage_curve[t - 1]
             i = sigma.act(t, z, k, u[:, 0])
             j = tau.act(t, z, k, comp, u[:, 1])
-            rows = tcdf[z, i, j]
-            z_next = np.minimum((u[:, 2:3] >= rows).sum(axis=1), nz - 1)
+            z_next = sample_rows(tcdf[z, i, j], u[:, 2])
             x = pay[z, i, j]
             pay_sum += x
             if collect_traces:
@@ -387,6 +358,12 @@ def _memory_thresholds(config: CounterConfig | None, horizon: int,
     return _Thresholds(stage_curve, cp_bounds)
 
 
+def pool_size(workers: int, chunks: int) -> int:
+    """Threads for a run: no more than asked for, than there are chunks to
+    share out, or than the machine has cores."""
+    return min(workers, chunks, os.cpu_count() or 1)
+
+
 def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
                 replications: int, base_seed: int,
                 checkpoints: tuple[int, ...] | None = None,
@@ -404,6 +381,8 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
         raise ValueError(f"replications must be >= 1, got {replications}")
     if not 0 <= base_seed < 2 ** 64:
         raise ValueError("base_seed must fit in an unsigned 64-bit integer")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoints is None:
         checkpoints = default_checkpoints(horizon)
     checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
@@ -425,8 +404,9 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
         return _simulate_chunk(ngame, sigma, tau, horizon, base_seed, start,
                                count, checkpoints, thresholds, False)
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = pool_size(workers, len(chunks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, chunks))
     else:
         results = [run(c) for c in chunks]
@@ -469,24 +449,13 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
                              if thresholds is not None else None))
 
 
-def run_episode(ngame: NormalizedGame, sigma, tau, horizon: int, seed: int,
-                replication: int = 0) -> EpisodeTrace:
-    """Simulate one replication and keep the full trace.
-
-    The trace is bit-identical to what replication `replication` of a
-    monte_carlo run with base_seed=seed would have produced.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    sigma.prepare(horizon)
-    tau.prepare(horizon)
-    res = _simulate_chunk(ngame, sigma, tau, horizon, seed, replication, 1,
-                          (horizon,), None, True)
-    return res.traces[0]
-
-
 def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
                replications: int, base_seed: int) -> list[EpisodeTrace]:
+    """Simulate replications 0..replications-1 and keep their full traces.
+
+    Trace r is bit-identical to what replication r of a monte_carlo run
+    with the same base_seed plays.
+    """
     sigma.prepare(horizon)
     tau.prepare(horizon)
     out = []

@@ -203,42 +203,17 @@ def big_match() -> GameSpec:
     return GameSpec(states, actions1, actions2, payoff, transition, 0)
 
 
-@dataclass(frozen=True)
-class PlayHistory:
-    """A finite play: (state, action1, action2) per stage plus where it ended."""
-
-    stages: tuple[tuple[int, int, int], ...]
-    terminal_state: int
-
-
-def validate_history(game: GameSpec, history: PlayHistory) -> list[str]:
-    """Check index ranges and that every step has positive transition mass."""
-    errors: list[str] = []
-    nz, ni, nj = game.n_states, game.n_actions1, game.n_actions2
-    path = list(history.stages) + [(history.terminal_state, 0, 0)]
-    for t, (z, i, j) in enumerate(history.stages):
-        if not (0 <= z < nz and 0 <= i < ni and 0 <= j < nj):
-            errors.append(f"stage {t}: indices ({z},{i},{j}) out of range")
-            continue
-        z_next = path[t + 1][0]
-        if not 0 <= z_next < nz:
-            errors.append(f"stage {t}: successor state {z_next} out of range")
-        elif game.transition[z, i, j, z_next] <= 0.0:
-            errors.append(
-                f"stage {t}: transition {game.states[z]} -> "
-                f"{game.states[z_next]} under actions "
-                f"({game.actions1[i]},{game.actions2[j]}) has probability 0")
-    return errors
-
-
 def transition_cdf(game: GameSpec) -> np.ndarray:
-    """Cumulative transition rows, shared by scalar and vector samplers."""
+    """Cumulative transition rows, in the layout sample_rows reads."""
     return np.cumsum(game.transition, axis=3)
 
 
-def sample_index(cdf_row: np.ndarray, u: float) -> int:
-    """Smallest index a with u < cdf_row[a]; the one sampling rule everywhere."""
-    return int(np.searchsorted(cdf_row, u, side="right"))
+def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw, the one sampling rule everywhere: per row, the
+    smallest index a with u < cum_rows[..., a], clamped to the last index so
+    that round-off in a row's total never yields an index past the end."""
+    idx = (u[..., None] >= cum_rows).sum(axis=-1)
+    return np.minimum(idx, cum_rows.shape[-1] - 1)
 
 
 def load_game(path: str) -> GameSpec:

@@ -19,16 +19,17 @@ import pytest
 from stochgame import cli, solve_discounted
 from stochgame.adversary import (BestResponseAdversary, MixedClockedAdversary,
                                  PublicMemoryStrategyTable,
-                                 best_response_exact, best_response_public,
+                                 best_response_public,
                                  big_match_indices,
                                  build_worthlessness_adversary,
                                  from_counter_strategy, pure_column_adversary,
                                  stationary_adversary)
-from stochgame.counter import make_state, update_distribution
+from stochgame.counter import update_distribution
 from stochgame.engine import CounterStrategy, TableStrategy, monte_carlo
 from stochgame.matrix import solve_matrix_game
 
 from conftest import make_rng
+from oracles import best_response_exact
 
 HEAVY = os.environ.get("STOCHGAME_HEAVY") == "1"
 
@@ -63,25 +64,21 @@ def test_criterion_02_drift_identity(config):
     t0 = time.perf_counter()
     rng = make_rng(101)
     gm1 = config.growth - 1.0
-    worst = 0.0
-    for _ in range(10_000):
-        k = int(rng.integers(1, 500))
-        x, v = float(rng.uniform()), float(rng.uniform())
-        st = make_state(config, k)
-        u = update_distribution(config, st, x, v)
-        drift = (u.p_up * st.position * gm1
-                 - u.p_down * st.position * gm1 / config.growth)
-        err = abs(drift - (x - v + config.epsilon / 2.0))
-        worst = max(worst, err)
-        assert err <= 1e-12
-    for _ in range(2_000):
-        x, v = float(rng.uniform()), float(rng.uniform())
-        st = make_state(config, 0)
-        u = update_distribution(config, st, x, v)
-        err = abs(u.p_up * st.position * gm1
-                  - max(x - v + config.epsilon / 2.0, 0.0))
-        worst = max(worst, err)
-        assert err <= 1e-12
+    k, x, v = (np.array(c) for c in zip(*[
+        (int(rng.integers(1, 500)), float(rng.uniform()), float(rng.uniform()))
+        for _ in range(10_000)]))
+    s = np.array([config.position_at(lvl) for lvl in k.tolist()])
+    u = update_distribution(config, k, x, v)
+    drift = u.p_up * s * gm1 - u.p_down * s * gm1 / config.growth
+    err = np.abs(drift - (x - v + config.epsilon / 2.0))
+    assert np.all(err <= 1e-12)
+    x, v = (np.array(c) for c in zip(*[
+        (float(rng.uniform()), float(rng.uniform())) for _ in range(2_000)]))
+    u = update_distribution(config, 0, x, v)
+    err0 = np.abs(u.p_up * config.base * gm1
+                  - np.maximum(x - v + config.epsilon / 2.0, 0.0))
+    assert np.all(err0 <= 1e-12)
+    worst = max(err.max(), err0.max())
     wall = time.perf_counter() - t0
     assert wall < 1.0
     report(2, f"12k triples, worst |drift error| = {worst:.2e} <= 1e-12, "
@@ -94,15 +91,14 @@ def test_criterion_03_jump_bound(config):
     """Move probability never exceeds 2/(position * (growth-1))."""
     rng = make_rng(102)
     gm1 = config.growth - 1.0
-    worst = -np.inf
-    for _ in range(10_000):
-        k = int(rng.integers(0, 500))
-        st = make_state(config, k)
-        u = update_distribution(config, st, float(rng.uniform()),
-                                float(rng.uniform()))
-        slack = 2.0 / (st.position * gm1) - (u.p_up + u.p_down)
-        worst = max(worst, u.p_up + u.p_down - 2.0 / (st.position * gm1))
-        assert slack >= 0.0
+    k, x, v = (np.array(c) for c in zip(*[
+        (int(rng.integers(0, 500)), float(rng.uniform()), float(rng.uniform()))
+        for _ in range(10_000)]))
+    s = np.array([config.position_at(lvl) for lvl in k.tolist()])
+    u = update_distribution(config, k, x, v)
+    slack = 2.0 / (s * gm1) - (u.p_up + u.p_down)
+    worst = (-slack).max()
+    assert np.all(slack >= 0.0)
     report(3, f"10k draws, zero violations (worst excess {worst:.2e})")
 
 
@@ -118,10 +114,9 @@ def test_criterion_04_one_step_submartingale(bm, bm_game, config, cache,
     p = bm.game.transition
     worst = np.inf
     for k in range(41):
-        st = make_state(config, k)
         sol = cache.at(k)
         strat = sol.strategy1[live]
-        y_now = sol.values[live] - 1.0 / np.log(st.position)
+        y_now = sol.values[live] - 1.0 / np.log(config.position_at(k))
         for j in range(bm_game.n_actions2):
             drift = -y_now
             for i in range(bm_game.n_actions1):
@@ -131,16 +126,14 @@ def test_criterion_04_one_step_submartingale(bm, bm_game, config, cache,
                 x = r[live, i, j]
                 for z2 in np.flatnonzero(p[live, i, j]):
                     pz = p[live, i, j, z2]
-                    u = update_distribution(config, st, x,
-                                            sol.values[z2])
+                    u = update_distribution(config, k, x, sol.values[z2])
                     for move, prob in ((1, u.p_up), (0, u.p_stay),
                                        (-1, u.p_down)):
                         if prob == 0.0:
                             continue
                         k2 = k + move
-                        st2 = make_state(config, k2)
                         y2 = (cache.at(k2).values[z2]
-                              - 1.0 / np.log(st2.position))
+                              - 1.0 / np.log(config.position_at(k2)))
                         drift += w * pz * prob * y2
             margin = drift - (config.epsilon * sol.lam / 8.0 - 1e-6)
             worst = min(worst, margin)

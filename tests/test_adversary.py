@@ -12,18 +12,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stochgame import adversary
 from stochgame import (GameSpec, WorthlessnessError, big_match,
                        build_worthlessness_adversary, load_strategy_table,
                        normalize_payoffs, save_strategy_table)
 from stochgame.adversary import (BestResponseAdversary, MixedAdversary,
                                  MixedClockedAdversary,
                                  PublicMemoryStrategyTable,
-                                 PureClockedAdversary, best_response_exact,
-                                 best_response_public, big_match_indices,
+                                 PureClockedAdversary, best_response_public, big_match_indices,
                                  from_counter_strategy, markov_adversary,
                                  pure_column_adversary, stationary_adversary)
 
 from conftest import make_rng
+from oracles import best_response_exact, move_law
 
 
 # ---------------------------------------------------------------- helpers
@@ -250,8 +251,18 @@ def test_from_counter_strategy_layout(bm, config, cache, live):
     kernel = tab.memory_kernel[0]
     np.testing.assert_allclose(kernel.sum(axis=4), 1.0, atol=1e-12)
     assert np.all(kernel >= 0)
-    # at the cap, climbing mass folds into staying: no cell above cap
-    # exists, and the row still sums to one (checked above)
+    # every row is the scalar move law, bit for bit; at the cap, climbing
+    # mass folds into staying
+    for m, i, j, zn in np.ndindex(kernel.shape[:4]):
+        up, stay, down = move_law(config, m, float(bm.game.payoff[live, i, j]),
+                                  float(cache.at(m).values[zn]))
+        want = np.zeros(cap + 1)
+        want[m] = stay + up if m == cap else stay
+        if m < cap:
+            want[m + 1] = up
+        if m > 0:
+            want[m - 1] = down
+        np.testing.assert_array_equal(kernel[m, i, j, zn], want)
 
 
 def test_best_response_adversary_reuse(bm, config, cache):
@@ -318,6 +329,31 @@ def test_worthlessness_always_continue(bm):
     assert cert.witness_value == pytest.approx(0.0, abs=1e-12)
     assert cert.max_exceed_count <= 2  # memory cells + 1
     assert all(b < 0.1 / 3.0 for b in cert.budgets)
+
+
+def test_worthlessness_stops_once_components_repeat(bm, monkeypatch):
+    """Once an enlargement step adds no cell, the rest of the mixture is
+    copied rather than recomputed by further forward passes."""
+    calls = []
+    forward = adversary._forward_pass
+    monkeypatch.setattr(adversary, "_forward_pass",
+                        lambda *a: calls.append(1) or forward(*a))
+    res = build_worthlessness_adversary(bm, stationary_table(0.0),
+                                        delta=0.05, horizon=2000,
+                                        tail_tol=1e-3)
+    cert = res.certificate
+    assert len(calls) <= 3
+    comps = res.mixture.components
+    assert len(comps) == 41  # floor((1+1)/0.05) + 1
+    assert len({c.ones for c in comps}) == 2
+    assert all(c.ones == comps[1].ones for c in comps[1:])
+    assert len(cert.budgets) == 41 and len(set(cert.budgets[1:])) == 1
+    assert cert.switch_stages == (1,) * 40
+    assert len(cert.tails) == 40 and len(set(cert.tails)) == 1
+    np.testing.assert_array_equal(cert.stage_payoffs[2:],
+                                  np.broadcast_to(cert.stage_payoffs[1],
+                                                  (39, 2000)))
+    assert cert.mixture_avg_payoff == pytest.approx(1.0 / 41.0, rel=1e-12)
 
 
 def test_worthlessness_half_absorbing(bm):

@@ -118,6 +118,18 @@ def test_simulate_deterministic_rerun_and_workers(tmp_path):
     assert (d3 / "stats.csv").read_bytes() == ref
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", []),
+    ("impossibility", ["--sigma", "always-c"]),
+])
+def test_workers_below_one_exit_two(tmp_path, capsys, command, extra):
+    code = run_cli([command, "--workers", "0", "--horizon", "10",
+                    "--replications", "2", *extra], tmp_path)
+    assert code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # rejected before any work
+
+
 def test_simulate_infeasible_base(tmp_path, capsys):
     code = run_cli(["simulate", "--base", "2.5", "--horizon", "10",
                     "--replications", "2"], tmp_path)

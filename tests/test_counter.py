@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from stochgame import (CounterConfig, FeasibilityError, make_config,
-                       make_state, sample_update, select_action,
                        update_distribution, validate_constants)
+from stochgame import discounted
 from stochgame.counter import MemoryUpdate, discount_rate
+from stochgame.games import sample_rows
 
 from conftest import make_rng
+from oracles import move_law
 
 
 def test_config_defaults(config):
@@ -32,8 +34,6 @@ def test_config_validation():
             make_config(eps, 100.0)
     with pytest.raises(ValueError):
         make_config(0.2, 1.5)
-    with pytest.raises(ValueError):
-        make_config(0.2, 100.0, rate_map="bogus")
     with pytest.raises(ValueError):
         make_config(0.2, 100.0, memory_slope=10.0)  # below 4/ln(growth)
     custom = make_config(0.2, 100.0, memory_slope=500.0)
@@ -60,33 +60,57 @@ def test_discount_rate_map():
     assert np.all((rates > 0) & (rates < 1))
 
 
-def test_make_state_geometry(config):
-    s0 = make_state(config, 0)
-    assert s0.level == 0 and s0.position == config.base
-    s3 = make_state(config, 3)
-    assert s3.position == pytest.approx(config.base * config.growth ** 3,
-                                        rel=1e-15)
+def test_position_geometry(config):
+    assert config.position_at(0) == config.base
+    assert config.position_at(3) == pytest.approx(
+        config.base * config.growth ** 3, rel=1e-15)
     with pytest.raises(ValueError):
-        make_state(config, -1)
+        update_distribution(config, -1, 0.5, 0.5)
+    with pytest.raises(ValueError):
+        update_distribution(config, [2, -1], 0.5, 0.5)
 
 
 def test_update_distribution_hand_value(config):
     # excess d = 1 - 0.5 + 0.1 = 0.6 at level 1, position 100*gamma:
     # climb probability d / (position * (growth-1))
-    up = update_distribution(config, make_state(config, 1), 1.0, 0.5)
+    up = update_distribution(config, 1, 1.0, 0.5)
     assert up.p_up == pytest.approx(0.2641304347826096, rel=1e-14)
     assert up.p_down == 0.0
     assert up.p_up + up.p_stay + up.p_down == pytest.approx(1.0, abs=1e-15)
 
 
 def test_update_distribution_directions(config):
-    st = make_state(config, 5)
-    up = update_distribution(config, st, 1.0, 0.4)     # d > 0: climb only
+    up = update_distribution(config, 5, 1.0, 0.4)     # d > 0: climb only
     assert up.p_up > 0 and up.p_down == 0.0
-    down = update_distribution(config, st, 0.0, 0.7)   # d < 0: descend only
+    down = update_distribution(config, 5, 0.0, 0.7)   # d < 0: descend only
     assert down.p_up == 0.0 and down.p_down > 0
-    level0 = update_distribution(config, make_state(config, 0), 0.0, 0.7)
+    level0 = update_distribution(config, 0, 0.0, 0.7)
     assert level0.p_down == 0.0  # the counter never leaves the grid
+
+
+def test_update_distribution_checks_unit_inputs(config):
+    for payoff, value in ((1.5, 0.5), (0.5, -0.1), ([0.2, float("nan")], 0.5)):
+        with pytest.raises(ValueError):
+            update_distribution(config, 1, payoff, value)
+
+
+def test_update_distribution_matches_scalar_law(config):
+    """One call over a (level, payoff, value) grid gives, cell by cell,
+    the bits of the scalar closed form."""
+    rng = make_rng(23)
+    levels = np.array([0, 1, 7, 300])
+    x = rng.uniform(size=5)
+    v = rng.uniform(size=6)
+    grid = update_distribution(config, levels[:, None, None],
+                               x[None, :, None], v[None, None, :])
+    assert grid.p_up.shape == (4, 5, 6)
+    for a, k in enumerate(levels.tolist()):
+        for b in range(5):
+            for c in range(6):
+                want = move_law(config, k, float(x[b]), float(v[c]))
+                got = (grid.p_up[a, b, c], grid.p_stay[a, b, c],
+                       grid.p_down[a, b, c])
+                assert got == want, (k, b, c)
 
 
 def test_drift_identity(config):
@@ -97,10 +121,9 @@ def test_drift_identity(config):
         k = int(rng.integers(1, 400))
         x = float(rng.uniform())
         v = float(rng.uniform())
-        st = make_state(config, k)
-        u = update_distribution(config, st, x, v)
-        drift = (u.p_up * st.position * gm1
-                 - u.p_down * st.position * gm1 / config.growth)
+        s = config.position_at(k)
+        u = update_distribution(config, k, x, v)
+        drift = (u.p_up * s * gm1 - u.p_down * s * gm1 / config.growth)
         assert abs(drift - (x - v + config.epsilon / 2.0)) <= 1e-12
 
 
@@ -109,9 +132,8 @@ def test_drift_identity_at_level_zero(config):
     gm1 = config.growth - 1.0
     for _ in range(1000):
         x, v = float(rng.uniform()), float(rng.uniform())
-        st = make_state(config, 0)
-        u = update_distribution(config, st, x, v)
-        drift = u.p_up * st.position * gm1
+        u = update_distribution(config, 0, x, v)
+        drift = u.p_up * config.base * gm1
         want = max(x - v + config.epsilon / 2.0, 0.0)
         assert abs(drift - want) <= 1e-12
 
@@ -121,35 +143,33 @@ def test_jump_probability_bound(config):
     gm1 = config.growth - 1.0
     for _ in range(1000):
         k = int(rng.integers(0, 400))
-        st = make_state(config, k)
-        u = update_distribution(config, st, float(rng.uniform()),
+        u = update_distribution(config, k, float(rng.uniform()),
                                 float(rng.uniform()))
-        assert u.p_up + u.p_down <= 2.0 / (st.position * gm1)
+        assert u.p_up + u.p_down <= 2.0 / (config.position_at(k) * gm1)
         assert u.p_up >= 0 and u.p_down >= 0 and u.p_stay >= 0
 
 
 def test_sample_update_threshold_map(config):
-    st = make_state(config, 3)
-    u = update_distribution(config, st, 1.0, 0.2)
+    """A uniform u moves up when u < p_up and down when u >= p_up + p_stay:
+    sample_rows over the cumulative (up, stay, down) row."""
+    def step(level, x, v, u):
+        upd = update_distribution(config, level, x, v)
+        cum = np.array([upd.p_up, upd.p_up + upd.p_stay, 1.0])
+        move = int(sample_rows(cum, np.float64(u)))
+        return level + (1, 0, -1)[move]
+
+    u = update_distribution(config, 3, 1.0, 0.2)
     assert u.p_up > 0
-    assert sample_update(config, st, 1.0, 0.2, u.p_up / 2).level == 4
-    assert sample_update(config, st, 1.0, 0.2, u.p_up).level == 3
-    assert sample_update(config, st, 1.0, 0.2, 0.999999999).level == 3
+    assert step(3, 1.0, 0.2, u.p_up / 2) == 4
+    assert step(3, 1.0, 0.2, u.p_up) == 3
+    assert step(3, 1.0, 0.2, 0.999999999) == 3
 
-    d = update_distribution(config, st, 0.0, 0.9)
+    d = update_distribution(config, 3, 0.0, 0.9)
     assert d.p_down > 0
-    assert sample_update(config, st, 0.0, 0.9, 0.999999999).level == 2
-    assert sample_update(config, st, 0.0, 0.9, 0.0).level == 3
+    assert step(3, 0.0, 0.9, 0.999999999) == 2
+    assert step(3, 0.0, 0.9, 0.0) == 3
 
-    st0 = make_state(config, 0)
-    assert sample_update(config, st0, 0.0, 0.9, 0.999999999).level == 0
-
-
-def test_select_action_matches_cache(bm, config, cache, live):
-    for k in (0, 2, 17):
-        act = select_action(config, bm, make_state(config, k), live, cache)
-        np.testing.assert_array_equal(act, cache.at(k).strategy1[live])
-        assert act.sum() == pytest.approx(1.0, abs=1e-12)
+    assert step(0, 0.0, 0.9, 0.999999999) == 0
 
 
 def test_validate_constants_base_100(bm, config, cache):
@@ -185,6 +205,21 @@ def test_validate_constants_large_base(bm):
     assert not low.all_pass
 
 
+def test_validate_constants_reads_cached_levels(bm, config, monkeypatch):
+    """With every level up to the depth cached, the report solves nothing."""
+    cache = discounted.SolutionCache(bm, config)
+    for k in range(6):
+        cache.at(k)
+    calls = []
+    solve = discounted.solve_discounted
+    monkeypatch.setattr(discounted, "solve_discounted",
+                        lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    report = validate_constants(config, bm, cache, 5)
+    assert calls == []
+    assert len(cache) == 6
+    assert report.limit_spread == pytest.approx(0.0, abs=1e-9)
+
+
 def test_validate_constants_depth_guard(bm, config, cache):
     with pytest.raises(ValueError):
         validate_constants(config, bm, cache, 0)
@@ -194,5 +229,4 @@ def test_config_is_frozen(config):
     with pytest.raises(Exception):
         config.epsilon = 0.3
     assert isinstance(config, CounterConfig)
-    assert isinstance(update_distribution(config, make_state(config, 1),
-                                          0.5, 0.5), MemoryUpdate)
+    assert isinstance(update_distribution(config, 1, 0.5, 0.5), MemoryUpdate)

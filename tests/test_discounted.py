@@ -7,7 +7,6 @@ from stochgame import (GameSpec, SolutionCache, SolverIterationError,
                        estimate_value_limit, normalize_payoffs,
                        shapley_operator, solve_discounted)
 from stochgame.counter import discount_rate
-from stochgame.discounted import solution_at_counter
 
 from conftest import make_rng
 
@@ -167,7 +166,7 @@ def test_solution_cache_matches_direct_solve(bm, config, cache):
         direct = solve_discounted(bm, lam)
         assert sol.lam == pytest.approx(lam, rel=1e-15)
         np.testing.assert_allclose(sol.values, direct.values, atol=1e-9)
-        assert solution_at_counter(cache, k) is sol  # cached, not re-solved
+        assert cache.at(k) is sol  # cached, not re-solved
 
 
 def test_solution_cache_deep_levels(bm, config):

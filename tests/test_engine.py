@@ -6,14 +6,16 @@ import pytest
 from stochgame import solve_discounted
 from stochgame.adversary import (markov_adversary, pure_column_adversary,
                                  stationary_adversary)
+from stochgame import engine
 from stochgame.engine import (CounterStrategy, StationaryStrategy,
                               TableStrategy, default_checkpoints,
-                              memory_bound_report, monte_carlo, run_episode,
+                              memory_bound_report, monte_carlo, pool_size,
                               run_traces, write_statistics_csv,
                               write_trace_csv)
 from stochgame.adversary import PublicMemoryStrategyTable
 
 from conftest import make_rng
+from oracles import move_law
 
 
 @pytest.fixture()
@@ -27,18 +29,29 @@ def counter_sigma(bm, config, cache):
 
 
 def test_run_episode_deterministic(bm, counter_sigma, uniform_tau):
-    a = run_episode(bm, counter_sigma, uniform_tau, 300, seed=5)
-    b = run_episode(bm, counter_sigma, uniform_tau, 300, seed=5)
+    a, = run_traces(bm, counter_sigma, uniform_tau, 300, 1, 5)
+    b, = run_traces(bm, counter_sigma, uniform_tau, 300, 1, 5)
     for field in ("stage_state", "stage_memory", "stage_action1",
                   "stage_action2", "stage_payoff"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-    c = run_episode(bm, counter_sigma, uniform_tau, 300, seed=5,
-                    replication=1)
+    c = run_traces(bm, counter_sigma, uniform_tau, 300, 2, 5)[1]
     assert not np.array_equal(a.stage_payoff, c.stage_payoff)
 
 
+def test_counter_thresholds_follow_move_law(bm, config, cache):
+    sigma = CounterStrategy(bm, config, cache)
+    sigma.prepare(1)
+    sigma.act(1, np.zeros(1, dtype=np.int64), np.array([11]), np.zeros(1))
+    pay = bm.game.payoff
+    for k, z, i, j, zn in np.ndindex(sigma._thresh_up.shape):
+        up, stay, _ = move_law(config, k, float(pay[z, i, j]),
+                               float(cache.at(k).values[zn]))
+        assert sigma._thresh_up[k, z, i, j, zn] == up
+        assert sigma._thresh_stay[k, z, i, j, zn] == up + stay
+
+
 def test_trace_consistency(bm, bm_game, counter_sigma, uniform_tau, live):
-    tr = run_episode(bm, counter_sigma, uniform_tau, 500, seed=9)
+    tr, = run_traces(bm, counter_sigma, uniform_tau, 500, 1, 9)
     r = bm_game.payoff
     for t in range(500):
         z, i, j = tr.stage_state[t], tr.stage_action1[t], tr.stage_action2[t]
@@ -59,14 +72,14 @@ def test_absorption_stage_semantics(bm, live):
     # always absorb on the first stage: play the absorb action surely
     sigma = StationaryStrategy(np.array([[1.0, 0.0]] * 3))
     tau = pure_column_adversary(3, 2, 1)
-    tr = run_episode(bm, sigma, tau, 10, seed=3)
+    tr, = run_traces(bm, sigma, tau, 10, 1, 3)
     assert tr.absorption_stage == 1
     assert np.all(tr.stage_state[1:] == bm.game.state_index("abs1"))
     assert tr.stage_payoff[0] == 1.0  # absorbing stage payoff counts
 
     # never absorb: always continue
     sigma_c = StationaryStrategy(np.array([[0.0, 1.0]] * 3))
-    tr2 = run_episode(bm, sigma_c, tau, 10, seed=3)
+    tr2, = run_traces(bm, sigma_c, tau, 10, 1, 3)
     assert tr2.absorption_stage is None
     assert np.all(tr2.stage_state == live)
 
@@ -75,8 +88,7 @@ def test_monte_carlo_matches_single_episode(bm, counter_sigma, uniform_tau):
     horizon = 128
     stats = monte_carlo(bm, counter_sigma, uniform_tau, horizon, 1, 42,
                         checkpoints=(horizon,))
-    tr = run_episode(bm, counter_sigma, uniform_tau, horizon, seed=42,
-                     replication=0)
+    tr, = run_traces(bm, counter_sigma, uniform_tau, horizon, 1, 42)
     assert stats.mean_avg_payoff[horizon] == pytest.approx(
         tr.stage_payoff.mean(), abs=1e-15)
     assert stats.payoff_se[horizon] == 0.0  # one replication: no spread
@@ -97,13 +109,34 @@ def test_worker_count_invariance(bm, counter_sigma, uniform_tau):
     assert a == b
 
 
+def test_pool_size_clamps_workers(monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    assert pool_size(1, 10) == 1
+    assert pool_size(3, 10) == 3
+    assert pool_size(10 ** 9, 2) == 2      # no more threads than chunks
+    assert pool_size(10 ** 9, 10 ** 6) == 4  # nor than cores
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+    assert pool_size(8, 8) == 1
+
+
+def test_workers_must_be_positive(bm, counter_sigma, uniform_tau):
+    with pytest.raises(ValueError, match="workers"):
+        monte_carlo(bm, counter_sigma, uniform_tau, 10, 4, 1, workers=0)
+
+
 def test_run_traces_match_monte_carlo_stream(bm, counter_sigma, uniform_tau):
     traces = run_traces(bm, counter_sigma, uniform_tau, 64, 5, 13)
     assert len(traces) == 5
     assert [t.replication for t in traces] == list(range(5))
-    solo = run_episode(bm, counter_sigma, uniform_tau, 64, seed=13,
-                       replication=3)
+    # replication 3 plays the same whatever the run's size
+    solo = run_traces(bm, counter_sigma, uniform_tau, 64, 4, 13)[3]
     np.testing.assert_array_equal(traces[3].stage_payoff, solo.stage_payoff)
+    stats = monte_carlo(bm, counter_sigma, uniform_tau, 64, 5, 13,
+                        checkpoints=(64,))
+    assert stats.mean_avg_payoff[64] == pytest.approx(
+        np.mean([t.stage_payoff.mean() for t in traces]), abs=1e-15)
+    assert stats.max_memory_quantiles[64][1.0] == max(
+        int(t.stage_memory.max()) for t in traces)
 
 
 def test_exact_absorption_chain_oracle(bm, live):
@@ -197,8 +230,8 @@ def test_table_strategy_equals_stationary(bm, uniform_tau):
         memory_kernel=np.ones((1, 1, 2, 2, 3, 1)))
     sig_t = TableStrategy(table)
     sig_s = StationaryStrategy(np.array([[0.0, 1.0]] * 3))
-    a = run_episode(bm, sig_t, uniform_tau, 200, seed=31)
-    b = run_episode(bm, sig_s, uniform_tau, 200, seed=31)
+    a, = run_traces(bm, sig_t, uniform_tau, 200, 1, 31)
+    b, = run_traces(bm, sig_s, uniform_tau, 200, 1, 31)
     np.testing.assert_array_equal(a.stage_action1, b.stage_action1)
     np.testing.assert_array_equal(a.stage_action2, b.stage_action2)
     np.testing.assert_array_equal(a.stage_payoff, b.stage_payoff)
@@ -208,8 +241,8 @@ def test_markov_constant_table_equals_stationary(bm, counter_sigma):
     dist = np.full((3, 2), 0.5)
     tau_s = stationary_adversary(dist)
     tau_m = markov_adversary(np.tile(dist, (6, 1, 1)))
-    a = run_episode(bm, counter_sigma, tau_s, 100, seed=41)
-    b = run_episode(bm, counter_sigma, tau_m, 100, seed=41)
+    a, = run_traces(bm, counter_sigma, tau_s, 100, 1, 41)
+    b, = run_traces(bm, counter_sigma, tau_m, 100, 1, 41)
     np.testing.assert_array_equal(a.stage_action2, b.stage_action2)
     np.testing.assert_array_equal(a.stage_payoff, b.stage_payoff)
 
@@ -220,7 +253,7 @@ def test_alternating_adversary_by_stage_parity(bm, live):
     table[1::2, :, 1] = 1.0
     tau = markov_adversary(table)
     sigma = StationaryStrategy(np.array([[0.0, 1.0]] * 3))  # stay live
-    tr = run_episode(bm, sigma, tau, 8, seed=1)
+    tr, = run_traces(bm, sigma, tau, 8, 1, 1)
     assert tr.stage_action2.tolist() == [0, 1, 0, 1, 1, 1, 1, 1]
     # payoffs flip with the column: continue earns only against column 0
     assert tr.stage_payoff.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0,

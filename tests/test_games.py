@@ -5,8 +5,7 @@ import pytest
 
 from stochgame import GameSpec, GameValidationError, big_match, load_game, \
     normalize_payoffs, save_game, validate_game
-from stochgame.games import (PlayHistory, is_absorbing, sample_index,
-                             transition_cdf, validate_history)
+from stochgame.games import is_absorbing, sample_rows, transition_cdf
 
 from conftest import make_rng
 
@@ -162,33 +161,18 @@ def test_load_missing_field(tmp_path, bm_game):
 
 def test_sample_index_rule():
     cdf = np.array([0.2, 0.5, 1.0])
-    assert sample_index(cdf, 0.0) == 0
-    assert sample_index(cdf, 0.19999) == 0
-    assert sample_index(cdf, 0.2) == 1  # boundary goes to the next cell
-    assert sample_index(cdf, 0.49) == 1
-    assert sample_index(cdf, 0.5) == 2
-    assert sample_index(cdf, 0.999999) == 2
+    u = np.array([0.0, 0.19999, 0.2, 0.49, 0.5, 0.999999])
+    # u = 0.2 sits on a boundary and goes to the next cell
+    assert sample_rows(cdf, u).tolist() == [0, 0, 1, 1, 2, 2]
+    # one row per draw, and a row total short of 1 never overflows
+    rows = np.array([[0.2, 0.5, 1.0], [0.5, 1.0, 1.0], [0.3, 0.6, 0.9]])
+    assert sample_rows(rows, np.array([0.5, 0.5, 0.95])).tolist() == [2, 1, 2]
 
 
 def test_transition_cdf_rows_end_at_one(bm_game):
     cdf = transition_cdf(bm_game)
     np.testing.assert_allclose(cdf[..., -1], 1.0, rtol=0, atol=1e-12)
     assert np.all(np.diff(cdf, axis=3) >= -1e-15)
-
-
-def test_validate_history(bm_game):
-    live = bm_game.state_index("live")
-    abs1 = bm_game.state_index("abs1")
-    ok = PlayHistory(stages=((live, 1, 0), (live, 0, 1)), terminal_state=abs1)
-    assert validate_history(bm_game, ok) == []
-
-    bad_step = PlayHistory(stages=((live, 1, 0),), terminal_state=abs1)
-    errors = validate_history(bm_game, bad_step)
-    assert len(errors) == 1 and "probability 0" in errors[0]
-
-    bad_index = PlayHistory(stages=((live, 5, 0),), terminal_state=live)
-    assert any("out of range" in e for e in validate_history(bm_game,
-                                                             bad_index))
 
 
 def test_alternator_is_valid():
