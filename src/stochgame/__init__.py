@@ -8,7 +8,7 @@ from .games import (GameSpec, GameValidationError, NormalizedGame, big_match,
 from .matrix import MatrixSolution, MatrixSolveError, solve_matrix_game
 from .discounted import (DiscountedSolution, SolutionCache,
                          SolverIterationError, estimate_value_limit,
-                         shapley_operator, solve_discounted)
+                         solve_discounted)
 from .counter import (CounterConfig, FeasibilityError, make_config,
                       update_distribution, validate_constants)
 from .adversary import (MixedAdversary, PublicMemoryStrategyTable,
@@ -29,7 +29,7 @@ __all__ = [
     "load_game", "normalize_payoffs", "save_game", "validate_game",
     "MatrixSolution", "MatrixSolveError", "solve_matrix_game",
     "DiscountedSolution", "SolutionCache", "SolverIterationError",
-    "estimate_value_limit", "shapley_operator", "solve_discounted",
+    "estimate_value_limit", "solve_discounted",
     "CounterConfig", "FeasibilityError", "make_config", "update_distribution",
     "validate_constants",
     "MixedAdversary", "PublicMemoryStrategyTable", "PureClockedAdversary",

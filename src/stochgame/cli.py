@@ -5,7 +5,7 @@ impossibility, trace).  Every command is a pure function of (config file,
 flags, seed) to output files; flags override config-file values; floating
 CSV output uses 17 significant digits so reruns are diffable.
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric failure (iteration cap),
+Exit codes: 0 ok, 2 configuration error, 3 numeric failure (round cap),
 4 construction infeasible.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 from . import adversary as advmod
 from . import engine
 from .counter import CounterConfig, FeasibilityError, make_config, validate_constants
-from .discounted import SolutionCache, SolverIterationError, estimate_value_limit, solve_discounted
+from .discounted import MAX_ROUNDS, SolutionCache, SolverIterationError, estimate_value_limit, solve_discounted
 from .games import GameValidationError, big_match, load_game, normalize_payoffs
 from .matrix import MatrixSolveError
 
@@ -134,7 +134,7 @@ def cmd_solve(args) -> int:
     if (lam is None) == (schedule is None):
         raise ValueError("exactly one of --lambda or --schedule is required")
 
-    max_iterations = int(_merge(args, "max_iterations", 1_000_000))
+    max_iterations = int(_merge(args, "max_iterations", MAX_ROUNDS))
     rows = []
     if lam is not None:
         sol = solve_discounted(ngame, float(lam), tol=tol,
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated rates for a limit estimate")
     p_solve.add_argument("--tol", type=float, help="certified accuracy")
     p_solve.add_argument("--max-iterations", dest="max_iterations", type=int,
-                         help="iteration cap for the fixed-point loop")
+                         help="round cap for strategy iteration")
     p_solve.add_argument("--csv", help="also write values to this CSV path")
     p_solve.set_defaults(func=cmd_solve)
 

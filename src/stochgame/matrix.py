@@ -1,22 +1,22 @@
 """Exact-value solving of finite zero-sum matrix games.
 
-The value and a pair of optimal mixed strategies are computed by primal
-simplex with Bland's anti-cycling rule.  After shifting the payoffs positive,
-the column player's program  max 1'w  s.t.  M'w <= 1, w >= 0  starts from the
-feasible slack basis (no phase-1), and the row player's optimal mixture is
-read off the dual values at optimality.  Games with a pure saddle point skip
-the tableau entirely; the saddle is exact and this is the common case for
-the absorbing states of a stochastic game.
+Primal simplex with Bland's anti-cycling rule on the column player's program
+max 1'w  s.t.  M'w <= 1, w >= 0, from the feasible slack basis (no phase-1);
+the row player's mixture is read off the duals.  One constant shifts the
+payoffs so that the largest row minimum is 1, which bounds the program
+(value >= 1) although entries may stay negative.  Floats are dyadic
+rationals, so the tableau scales to integers, and fraction-free pivoting
+(Edmonds 1967) keeps it integral: no step depends on round-off, however
+widely the magnitudes spread.  Pure saddle points, common at absorbing
+states, skip the tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-
-PIVOT_GUARD = 1e-11
-MAX_PIVOTS = 20000
 
 
 class MatrixSolveError(RuntimeError):
@@ -50,9 +50,9 @@ def solve_matrix_game(matrix) -> MatrixSolution:
     """Solve the zero-sum game with the given payoff matrix (row maximizes).
 
     Returns the game value and optimal mixed strategies for both players.
-    row_strategy guarantees value against every pure column and col_strategy
-    concedes at most value against every pure row, up to simplex round-off
-    (well inside 1e-8 for the matrix sizes that arise here).
+    The solve is exact for the matrix as given; value and each strategy
+    entry are then rounded to the nearest float, so every entry keeps its
+    relative precision, however small.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
@@ -65,91 +65,46 @@ def solve_matrix_game(matrix) -> MatrixSolution:
         return saddle
 
     n_rows, n_cols = m.shape
-    shift = 1.0 - m.min()
-    a = m + shift  # every entry >= 1, so the shifted value is >= 1 > 0
-
-    # Tableau rows: one per row-player action (constraint M'w <= 1), final
-    # row carries reduced costs.  Columns: w variables, slacks, rhs.
-    tab = np.zeros((n_rows + 1, n_cols + n_rows + 1))
-    tab[:n_rows, :n_cols] = a
-    tab[:n_rows, n_cols:n_cols + n_rows] = np.eye(n_rows)
-    tab[:n_rows, -1] = 1.0
-    tab[n_rows, :n_cols] = -1.0
+    shift = 1.0 - m.min(axis=1).max()
+    # Constraint rows times a common power of two become integers, slack
+    # columns stay the identity (first basis determinant 1), shift exact.
+    ratios = [[v.as_integer_ratio() for v in row] for row in m.tolist()]
+    s_num, s_den = shift.as_integer_ratio()
+    scale = max(max(d for row in ratios for _, d in row), s_den)
+    tab = [[n * (scale // d) + s_num * (scale // s_den) for n, d in row]
+           + [int(i == r) for i in range(n_rows)] + [scale]
+           for r, row in enumerate(ratios)]
+    tab.append([-1] * n_cols + [0] * (n_rows + 1))  # reduced costs
     basis = list(range(n_cols, n_cols + n_rows))
+    det = 1  # the real tableau is tab / det
 
-    for _ in range(MAX_PIVOTS):
-        costs = tab[n_rows, :-1]
-        entering = -1
-        for j in range(n_cols + n_rows):  # Bland: lowest improving index
-            if costs[j] < -PIVOT_GUARD:
-                entering = j
-                break
+    while True:
+        cost = tab[n_rows]
+        entering = next((j for j in range(n_cols + n_rows) if cost[j] < 0), -1)
         if entering < 0:
             break
-        col = tab[:n_rows, entering]
-        best_ratio = np.inf
-        leaving = -1
-        for i in range(n_rows):
-            if col[i] > PIVOT_GUARD:
-                ratio = tab[i, -1] / col[i]
-                if ratio < best_ratio - PIVOT_GUARD or (
-                        abs(ratio - best_ratio) <= PIVOT_GUARD
-                        and leaving >= 0 and basis[i] < basis[leaving]):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
+        rows = [i for i in range(n_rows) if tab[i][entering] > 0]
+        if not rows:
             raise MatrixSolveError(
                 f"unbounded tableau (should be impossible): {m.tolist()}")
-        pivot = tab[leaving, entering]
-        tab[leaving] /= pivot
+        leaving = min(rows, key=lambda i: (
+            Fraction(tab[i][-1], tab[i][entering]), basis[i]))
+        pivot_row = tab[leaving]
+        pivot = pivot_row[entering]
         for i in range(n_rows + 1):
-            if i != leaving and tab[i, entering] != 0.0:
-                tab[i] -= tab[i, entering] * tab[leaving]
+            if i != leaving:
+                f = tab[i][entering]
+                tab[i] = [(pivot * a - f * b) // det
+                          for a, b in zip(tab[i], pivot_row)]
+        det = pivot
         basis[leaving] = entering
-    else:
-        raise MatrixSolveError(f"pivot cap exceeded on: {m.tolist()}")
 
-    total = tab[n_rows, -1]           # sum of w at optimality
-    if total <= 0.0:
-        raise MatrixSolveError(f"degenerate optimum on: {m.tolist()}")
-    w = np.zeros(n_cols)
+    w = [0] * n_cols
     for i, b in enumerate(basis):
         if b < n_cols:
-            w[b] = tab[i, -1]
-    u = tab[n_rows, n_cols:n_cols + n_rows]  # duals from the slack columns
-    value = 1.0 / total - shift
-    x = np.maximum(u, 0.0)
-    y = np.maximum(w, 0.0)
-    x /= x.sum()
-    y /= y.sum()
+            w[b] = tab[i][-1]
+    u = cost[n_cols:n_cols + n_rows]  # duals from the slack columns
+    value = Fraction(det, cost[-1]) - Fraction(shift)  # 1 / sum(w) - shift
+    x = np.array([q / sum(u) for q in u])
+    y = np.array([q / sum(w) for q in w])
     return MatrixSolution(float(value), x, y)
-
-
-def best_pure_response(matrix, mixed, side: str) -> tuple[int, float]:
-    """Best pure reply of `side` against the other side's mixture.
-
-    side="column": mixed is a row mixture; returns the column minimizing the
-    expected payoff and that payoff.  side="row": mixed is a column mixture;
-    returns the maximizing row.  Ties break toward the smallest index.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    mixed = np.asarray(mixed, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("payoff matrix must be 2-D")
-    if side == "column":
-        if mixed.shape != (m.shape[0],):
-            raise ValueError(
-                f"row mixture length {mixed.shape} does not match "
-                f"{m.shape[0]} rows")
-        payoffs = mixed @ m
-        idx = int(payoffs.argmin())
-    elif side == "row":
-        if mixed.shape != (m.shape[1],):
-            raise ValueError(
-                f"column mixture length {mixed.shape} does not match "
-                f"{m.shape[1]} columns")
-        payoffs = m @ mixed
-        idx = int(payoffs.argmax())
-    else:
-        raise ValueError(f"side must be 'row' or 'column', got {side!r}")
-    return idx, float(payoffs[idx])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from stochgame import (CounterConfig, SolutionCache, big_match, make_config,
-                       normalize_payoffs)
+from stochgame import (CounterConfig, GameSpec, SolutionCache, big_match,
+                       make_config, normalize_payoffs)
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +35,17 @@ def live(bm_game) -> int:
 def make_rng(tag: int) -> np.random.Generator:
     # one seed root so reruns – and failures – are reproducible
     return np.random.default_rng(0x5EED0000 + tag)
+
+
+def big_match_paying(a: float) -> GameSpec:
+    """The Big Match with C-vs-0 paying a instead of 1.
+
+    Its discounted value is a / (1 + a) at every rate lam, where player 1
+    absorbs with probability lam a / (1 + lam a); for a != 1 the value is
+    not the solver's starting guess 1/2.
+    """
+    game = big_match()
+    payoff = game.payoff.copy()
+    payoff[game.state_index("live"), game.actions1.index("C"), 0] = a
+    return GameSpec(game.states, game.actions1, game.actions2, payoff,
+                    game.transition, game.initial_state)

@@ -29,7 +29,7 @@ from stochgame.engine import CounterStrategy, TableStrategy, monte_carlo
 from stochgame.matrix import solve_matrix_game
 
 from conftest import make_rng
-from oracles import best_response_exact
+from reference import best_response_exact
 
 HEAVY = os.environ.get("STOCHGAME_HEAVY") == "1"
 

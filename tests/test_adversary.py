@@ -24,7 +24,7 @@ from stochgame.adversary import (BestResponseAdversary, MixedAdversary,
                                  pure_column_adversary, stationary_adversary)
 
 from conftest import make_rng
-from oracles import best_response_exact, move_law
+from reference import best_response_exact, move_law
 
 
 # ---------------------------------------------------------------- helpers

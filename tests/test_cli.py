@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import stochgame
-from stochgame import cli
+from stochgame import cli, save_game
+
+from conftest import big_match_paying
 
 SUBPROCESS_TIMEOUT = 60  # seconds; a hung child fails the test
 
@@ -79,16 +81,10 @@ def test_solve_bad_rate(capsys):
 
 
 def test_solve_iteration_cap_exits_numeric(tmp_path, capsys):
-    game = {
-        "states": ["left", "right"], "actions1": ["stay"],
-        "actions2": ["go"], "initial_state": "left",
-        "payoff": [[[1.0]], [[0.0]]],
-        "transition": [[[[0.0, 1.0]]], [[[1.0, 0.0]]]],
-    }
-    path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(game))
-    code = cli.main(["solve", "--game", str(path), "--lambda", "0.01",
-                     "--max-iterations", "3"])
+    path = tmp_path / "big_match_08.json"
+    save_game(big_match_paying(0.8), str(path))
+    code = cli.main(["solve", "--game", str(path), "--lambda", "1e-4",
+                     "--max-iterations", "1"])
     assert code == 3
     assert "no certificate" in capsys.readouterr().err
 
@@ -195,6 +191,17 @@ def test_validate_constants_passing_base(capsys):
                      "--depth", "5"]) == 0
     out = capsys.readouterr().out
     assert "overall: PASS" in out
+
+
+def test_readme_validate_constants_example(tmp_path):
+    """The README example solves 201 levels down to rate 1e-11 and reports
+    a verdict on the margins, not a solver error."""
+    proc = run_module("validate-constants", "--epsilon", "0.2",
+                      "--base", "1.1e7", "--depth", "200",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("overall: ")
+               for line in proc.stdout.splitlines())
 
 
 # ----------------------------------------------------------- impossibility

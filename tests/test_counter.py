@@ -12,7 +12,7 @@ from stochgame.counter import MemoryUpdate, discount_rate
 from stochgame.games import sample_rows
 
 from conftest import make_rng
-from oracles import move_law
+from reference import move_law
 
 
 def test_config_defaults(config):

@@ -1,14 +1,16 @@
-"""Discounted solver: closed forms, an MDP oracle, operator properties."""
+"""Discounted solver: closed forms, exact and MDP oracles, operator
+properties."""
 
 import numpy as np
 import pytest
 
 from stochgame import (GameSpec, SolutionCache, SolverIterationError,
-                       estimate_value_limit, normalize_payoffs,
-                       shapley_operator, solve_discounted)
+                       estimate_value_limit, make_config, normalize_payoffs,
+                       solve_discounted)
 from stochgame.counter import discount_rate
 
-from conftest import make_rng
+from conftest import big_match_paying, make_rng
+from reference import best_reply_exact, shapley_operator
 
 
 def _alternator():
@@ -28,6 +30,32 @@ def _random_mdp(rng, nz=3, nj=2):
     g = GameSpec(states=tuple(f"s{z}" for z in range(nz)),
                  actions1=("only",),
                  actions2=tuple(f"a{j}" for j in range(nj)),
+                 payoff=payoff, transition=transition, initial_state=0)
+    return normalize_payoffs(g)
+
+
+def _random_absorbing_game(rng):
+    """Two live and two absorbing states, 2-4 actions per player.
+
+    Each live action pair either stays among the live states or may also
+    absorb; transition probabilities are multiples of 1/16, so every row
+    sums to exactly 1 in floating point.  Absorbing states carry random
+    payoff matrices, so their values are mixed too.
+    """
+    ni, nj = (int(n) for n in rng.integers(2, 5, size=2))
+    payoff = rng.uniform(0.0, 1.0, size=(4, ni, nj))
+    transition = np.zeros((4, ni, nj, 4))
+    for z in range(2):
+        for i in range(ni):
+            for j in range(nj):
+                reach = 2 if rng.uniform() < 0.5 else 4
+                probs = rng.dirichlet(np.ones(reach))
+                transition[z, i, j, :reach] = rng.multinomial(16, probs) / 16.0
+    transition[2, :, :, 2] = 1.0
+    transition[3, :, :, 3] = 1.0
+    g = GameSpec(states=("live0", "live1", "abs0", "abs1"),
+                 actions1=tuple(f"a{i}" for i in range(ni)),
+                 actions2=tuple(f"b{j}" for j in range(nj)),
                  payoff=payoff, transition=transition, initial_state=0)
     return normalize_payoffs(g)
 
@@ -56,6 +84,38 @@ def test_absorbing_states_pinned(bm, bm_game):
     sol = solve_discounted(bm, 0.37)
     assert sol.values[bm_game.state_index("abs0")] == 0.0
     assert sol.values[bm_game.state_index("abs1")] == 1.0
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-4, 1e-8, 1e-12])
+def test_big_match_value_off_one_half(lam):
+    """C-vs-0 paying a = 0.8: value a/(1+a), absorb with lam a/(1+lam a)."""
+    a = 0.8
+    sol = solve_discounted(normalize_payoffs(big_match_paying(a)), lam)
+    assert sol.values[0] == pytest.approx(a / (1.0 + a), rel=1e-12, abs=0)
+    assert sol.strategy1[0, 0] == pytest.approx(lam * a / (1.0 + lam * a),
+                                                rel=1e-12, abs=0)
+    assert sol.residual <= 1e-9
+    assert sol.iterations <= 10
+
+
+def test_random_absorbing_games_exact_bracket():
+    """The returned mixtures, evaluated exactly, bracket v_lam as claimed:
+    values is the exact value of player 2's best reply to strategy1, and
+    player 1's best reply to strategy2 is at most residual <= tol above,
+    both up to float round-off (1e-13)."""
+    rng = make_rng(13)
+    for trial in range(6):
+        ng = _random_absorbing_game(rng)
+        g = ng.game
+        for lam in (1e-2, 1e-7):
+            sol = solve_discounted(ng, lam)
+            assert sol.residual <= 1e-9
+            low = best_reply_exact(g.payoff, g.transition, lam, sol.strategy1, 2)
+            high = best_reply_exact(g.payoff, g.transition, lam, sol.strategy2, 1)
+            width = max(float(h - lo) for h, lo in zip(high, low))
+            assert width <= sol.residual + 1e-13, (trial, lam)
+            np.testing.assert_allclose(sol.values, [float(x) for x in low],
+                                       rtol=0, atol=1e-13)
 
 
 def test_alternator_closed_form():
@@ -137,19 +197,13 @@ def test_fixed_point_residual(bm):
 
 
 def test_iteration_cap_raises():
-    ng = _alternator()
+    # the first round starts from 1/2, which is not this game's value
+    ng = normalize_payoffs(big_match_paying(0.8))
     with pytest.raises(SolverIterationError) as exc:
-        solve_discounted(ng, 0.01, max_iter=3)
+        solve_discounted(ng, 1e-4, max_iter=1)
     assert "no certificate" in str(exc.value)
-
-
-def test_warm_start_accepts_solution(bm):
-    base = solve_discounted(bm, 0.02)
-    again = solve_discounted(bm, 0.02, v_init=base.values)
-    assert again.iterations <= 2
-    np.testing.assert_allclose(again.values, base.values, atol=1e-9)
-    with pytest.raises(ValueError):
-        solve_discounted(bm, 0.02, v_init=np.zeros(7))
+    assert exc.value.iterations == 1
+    assert exc.value.residual > 1e-9
 
 
 def test_value_monotone_in_rate_for_big_match(bm, live):
@@ -170,13 +224,21 @@ def test_solution_cache_matches_direct_solve(bm, config, cache):
 
 
 def test_solution_cache_deep_levels(bm, config):
-    cache = SolutionCache(bm, config)
-    deep = cache.at(2500)  # rate far below float certification
-    assert 0.0 < deep.lam < 1e-20
-    assert np.all(np.isfinite(deep.values))
-    np.testing.assert_allclose(deep.values, [0.5, 0.0, 1.0], atol=1e-6)
+    """Every level is certified, down to rates far below 1e-10."""
+    tol = 1e-9
+    deep = SolutionCache(bm, make_config(0.2, 1.1e7))
+    levels = [deep.at(k) for k in range(201)]
+    levels.append(SolutionCache(bm, config).at(2500))
+    assert 0.0 < levels[-1].lam < 1e-20
+    for sol in levels:
+        lam = sol.lam
+        assert sol.residual <= tol, lam
+        np.testing.assert_allclose(sol.values, [0.5, 0.0, 1.0], rtol=0,
+                                   atol=tol)
+        assert sol.strategy1[0, 0] == pytest.approx(lam / (1.0 + lam),
+                                                    rel=1e-12, abs=0)
     with pytest.raises(ValueError):
-        cache.at(-1)
+        deep.at(-1)
 
 
 def test_estimate_value_limit(bm, live):

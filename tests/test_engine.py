@@ -15,7 +15,7 @@ from stochgame.engine import (CounterStrategy, StationaryStrategy,
 from stochgame.adversary import PublicMemoryStrategyTable
 
 from conftest import make_rng
-from oracles import move_law
+from reference import move_law
 
 
 @pytest.fixture()

@@ -1,12 +1,12 @@
 """Matrix-game solver against closed forms, duality, and a grid oracle."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from stochgame import MatrixSolveError, solve_matrix_game
-from stochgame.matrix import best_pure_response
 
 from conftest import make_rng
 
@@ -98,17 +98,34 @@ def test_invariance_under_payoff_shift():
     assert shifted.value == pytest.approx(base.value + 10.0, abs=1e-9)
 
 
-def test_best_pure_response_sides():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    j, v = best_pure_response(m, np.array([0.9, 0.1]), side="column")
-    assert j == 0 and v == pytest.approx(0.1)
-    i, v = best_pure_response(m, np.array([0.9, 0.1]), side="row")
-    assert i == 1 and v == pytest.approx(0.9)
-    # ties break toward the smallest index
-    i, _ = best_pure_response(m, np.array([0.5, 0.5]), side="row")
-    assert i == 0
-    with pytest.raises(ValueError):
-        best_pure_response(m, np.array([0.5, 0.5]), side="diag")
+def test_widely_spread_entries():
+    """Advantage-form one-shot games at small rates mix entries near 1/lam
+    with entries near 1; every strategy entry keeps its relative precision."""
+    lam = 1e-20
+    sol = solve_matrix_game([[-0.5 / lam, 0.5 / lam], [0.5, -0.5]])
+    assert sol.row_strategy[0] == pytest.approx(lam / (1.0 + lam), rel=1e-15)
+    assert sol.value == 0.0
+
+    # A one-shot game of a random 4-state game at rate 1e-7.  Optimal play
+    # uses rows 0 and 2 and columns 2 and 3, each side making the other
+    # indifferent.
+    m = np.array([
+        [138832638.61307967, 0.44344245282156414, 755866586.5880948,
+         -246813580.2993806],
+        [632459797.038541, -0.04813465333336264, 0.4362741930600511,
+         -138832638.55507284],
+        [46277545.64004422, 154258487.0624474, -1.4790335747805194e-06,
+         0.08806006032420377]])
+    sol = solve_matrix_game(m)
+    f = [[Fraction(v) for v in row] for row in m.tolist()]
+    den = f[0][2] - f[0][3] - f[2][2] + f[2][3]
+    x0 = float((f[2][3] - f[2][2]) / den)
+    y2 = float((f[2][3] - f[0][3]) / den)
+    np.testing.assert_allclose(sol.row_strategy, [x0, 0.0, 1.0 - x0],
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(sol.col_strategy, [0.0, 0.0, y2, 1.0 - y2],
+                               rtol=1e-15, atol=0)
+    assert 8e-11 < x0 < 9e-11
 
 
 def test_rejects_bad_input():
