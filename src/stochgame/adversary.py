@@ -165,8 +165,9 @@ class BestResponse:
 
 def best_response_public(ngame: NormalizedGame,
                          sigma: PublicMemoryStrategyTable,
-                         horizon: int, initial_memory: int = 0) -> BestResponse:
-    """Exact best response of player 2 against a public-memory table.
+                         horizon: int) -> BestResponse:
+    """Exact best response of player 2 against a public-memory table that
+    starts at memory 0.
 
     Backward induction over the joint observable state (z, m): V_t(z, m) is
     the minimal expected total payoff from stage t on.  Ties in the
@@ -196,7 +197,7 @@ def best_response_public(ngame: NormalizedGame,
         values = q.min(axis=2)
     z0 = game.initial_state
     return BestResponse(policy=policy,
-                        value=float(values[z0, initial_memory]) / horizon)
+                        value=float(values[z0, 0]) / horizon)
 
 
 # ---------------------------------------------------------------------------

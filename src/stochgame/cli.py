@@ -20,12 +20,15 @@ import numpy as np
 
 from . import adversary as advmod
 from . import engine
-from .counter import CounterConfig, FeasibilityError, make_config, validate_constants
-from .discounted import MAX_ROUNDS, SolutionCache, SolverIterationError, estimate_value_limit, solve_discounted
-from .games import GameValidationError, big_match, load_game, normalize_payoffs
+from .counter import FeasibilityError, make_config, validate_constants
+from .discounted import (DEFAULT_TOL, MAX_ROUNDS, SolutionCache,
+                         SolverIterationError, estimate_value_limit,
+                         solve_discounted)
+from .games import big_match, load_game, normalize_payoffs
 from .matrix import MatrixSolveError
 
 OUT_DIR_ENV = "STOCHGAME_OUT_DIR"
+BR_HORIZON_CAP = 100_000  # --br-horizon defaults to min(--horizon, this)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,55 +41,24 @@ def _fmt(x: float) -> str:
 
 
 def _load_game_arg(source: str):
-    if source == "big-match":
-        game = big_match()
-    else:
-        game = load_game(source)
+    game = big_match() if source == "big-match" else load_game(source)
     return game, normalize_payoffs(game)
 
 
-def _merge(args: argparse.Namespace, key: str, default):
-    """Flag > config file > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if getattr(args, "_config", None) and key in args._config:
-        return args._config[key]
-    return default
-
-
-def _out_dir(args) -> str:
-    out = _merge(args, "out_dir", None)
-    if out is None:
-        out = os.environ.get(OUT_DIR_ENV, ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _parse_checkpoints(text):
-    if text is None:
-        return None
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(v) for v in text.split(","))
+def _out_path(args, name: str) -> str:
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
 
 
 def _workers(args) -> int:
-    workers = int(_merge(args, "workers", 1))
-    if workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {workers}")
-    return workers
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    return args.workers
 
 
-def _counter_config(args) -> CounterConfig:
-    epsilon = float(_merge(args, "epsilon", 0.2))
-    base = float(_merge(args, "base", 100.0))
-    return make_config(epsilon=epsilon, base=base)
-
-
-def _build_adversary(name: str, args, ngame, config, cache, horizon: int):
-    game = ngame.game
-    nz, nj = game.n_states, game.n_actions2
+def _build_adversary(args, ngame, config, cache):
+    nz, nj = ngame.game.n_states, ngame.game.n_actions2
+    name = args.adversary
     if name == "always-0":
         return advmod.pure_column_adversary(nz, nj, 0)
     if name == "always-1":
@@ -94,11 +66,10 @@ def _build_adversary(name: str, args, ngame, config, cache, horizon: int):
     if name == "uniform":
         return advmod.stationary_adversary(np.full((nz, nj), 1.0 / nj))
     if name == "best-response":
-        cap = int(_merge(args, "br_cap", 40))
-        build_horizon = int(_merge(args, "br_horizon",
-                                   min(horizon, 100_000)))
-        table = advmod.from_counter_strategy(ngame, config, cache, cap,
-                                             build_horizon)
+        build_horizon = (args.br_horizon if args.br_horizon is not None
+                         else min(args.horizon, BR_HORIZON_CAP))
+        table = advmod.from_counter_strategy(ngame, config, cache,
+                                             args.br_cap, build_horizon)
         br = advmod.best_response_public(ngame, table, build_horizon)
         return advmod.BestResponseAdversary(br.policy, build_horizon)
     raise ValueError(f"unknown adversary '{name}' (expected always-0, "
@@ -106,20 +77,26 @@ def _build_adversary(name: str, args, ngame, config, cache, horizon: int):
 
 
 def _build_sigma(args, ngame, config, cache):
-    kind = _merge(args, "sigma", "counter")
+    kind = args.sigma
     if kind == "counter":
         return engine.CounterStrategy(ngame, config, cache)
     if kind == "stationary-lambda":
-        lam = _merge(args, "lam", None)
-        if lam is None:
+        if args.lam is None:
             raise ValueError("sigma=stationary-lambda requires --lambda")
-        sol = solve_discounted(ngame, float(lam))
-        return engine.StationaryStrategy(sol.strategy1)
+        return engine.StationaryStrategy(
+            solve_discounted(ngame, args.lam).strategy1)
     if os.path.exists(kind):
-        table = advmod.load_strategy_table(kind)
-        return engine.TableStrategy(table)
+        return engine.TableStrategy(advmod.load_strategy_table(kind))
     raise ValueError(f"unknown sigma '{kind}' (expected counter, "
                      f"stationary-lambda, or a table file path)")
+
+
+def _players(args, ngame):
+    """The (sigma, tau) pair of simulate and trace, sharing one cache."""
+    config = make_config(args.epsilon, args.base)
+    cache = SolutionCache(ngame, config)
+    return (_build_sigma(args, ngame, config, cache),
+            _build_adversary(args, ngame, config, cache))
 
 
 # ---------------------------------------------------------------------------
@@ -127,35 +104,29 @@ def _build_sigma(args, ngame, config, cache):
 
 
 def cmd_solve(args) -> int:
-    game, ngame = _load_game_arg(_merge(args, "game", "big-match"))
-    tol = float(_merge(args, "tol", 1e-9))
-    lam = _merge(args, "lam", None)
-    schedule = _merge(args, "schedule", None)
-    if (lam is None) == (schedule is None):
+    game, ngame = _load_game_arg(args.game)
+    if (args.lam is None) == (args.schedule is None):
         raise ValueError("exactly one of --lambda or --schedule is required")
 
-    max_iterations = int(_merge(args, "max_iterations", MAX_ROUNDS))
     rows = []
-    if lam is not None:
-        sol = solve_discounted(ngame, float(lam), tol=tol,
-                               max_iter=max_iterations)
+    if args.lam is not None:
+        sol = solve_discounted(ngame, args.lam, tol=args.tol,
+                               max_iter=args.max_iterations)
         values = ngame.denormalize(sol.values)
         for z, name in enumerate(game.states):
             print(f"state {name}: value {_fmt(float(values[z]))}")
-            rows.append((name, float(lam), float(values[z])))
+            rows.append((name, args.lam, float(values[z])))
         print(f"iterations {sol.iterations}, residual {_fmt(sol.residual)}")
     else:
-        rates = [float(v) for v in str(schedule).split(",")]
-        est = estimate_value_limit(ngame, rates, tol=tol)
+        est = estimate_value_limit(ngame, args.schedule, tol=args.tol)
         values = ngame.denormalize(est.values)
         for z, name in enumerate(game.states):
             print(f"state {name}: estimate {_fmt(float(values[z]))}")
             rows.append((name, float("nan"), float(values[z])))
         print(f"spread {_fmt(est.spread / ngame.scale)}")
 
-    csv_path = _merge(args, "csv", None)
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as fh:
+    if args.csv is not None:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("state,lambda,value\n")
             for name, rate, value in rows:
                 fh.write(f"{name},{_fmt(rate)},{_fmt(value)}\n")
@@ -163,23 +134,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    game, ngame = _load_game_arg(_merge(args, "game", "big-match"))
-    config = _counter_config(args)
-    cache = SolutionCache(ngame, config)
-    horizon = int(_merge(args, "horizon", 1000))
-    replications = int(_merge(args, "replications", 100))
-    seed = int(_merge(args, "seed", 1))
+    _, ngame = _load_game_arg(args.game)
     workers = _workers(args)
-    checkpoints = _parse_checkpoints(_merge(args, "checkpoints", None))
-    adversary_name = _merge(args, "adversary", "uniform")
-
-    sigma = _build_sigma(args, ngame, config, cache)
-    tau = _build_adversary(adversary_name, args, ngame, config, cache,
-                           horizon)
-    stats = engine.monte_carlo(ngame, sigma, tau, horizon, replications,
-                               seed, checkpoints=checkpoints, workers=workers)
-    out = _out_dir(args)
-    stats_path = os.path.join(out, "stats.csv")
+    sigma, tau = _players(args, ngame)
+    stats = engine.monte_carlo(ngame, sigma, tau, args.horizon,
+                               args.replications, args.seed,
+                               checkpoints=args.checkpoints, workers=workers)
+    stats_path = _out_path(args, "stats.csv")
     engine.write_statistics_csv(stats, stats_path)
     print(f"wrote {stats_path}")
     final = stats.checkpoints[-1]
@@ -189,7 +150,7 @@ def cmd_simulate(args) -> int:
 
     if sigma.counter_config is not None:
         report = engine.memory_bound_report(stats, sigma.counter_config)
-        report_path = os.path.join(out, "memory_report.txt")
+        report_path = _out_path(args, "memory_report.txt")
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(report.lines()) + "\n")
         print(f"wrote {report_path}")
@@ -200,11 +161,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate_constants(args) -> int:
-    game, ngame = _load_game_arg(_merge(args, "game", "big-match"))
-    config = _counter_config(args)
+    _, ngame = _load_game_arg(args.game)
+    config = make_config(args.epsilon, args.base)
     cache = SolutionCache(ngame, config)
-    depth = int(_merge(args, "depth", 40))
-    report = validate_constants(config, ngame, cache, grid_depth=depth)
+    report = validate_constants(config, ngame, cache, grid_depth=args.depth)
     for line in report.lines():
         print(line)
     print(f"overall: {'PASS' if report.all_pass else 'FAIL'}")
@@ -212,53 +172,46 @@ def cmd_validate_constants(args) -> int:
 
 
 def cmd_impossibility(args) -> int:
-    game, ngame = _load_game_arg(_merge(args, "game", "big-match"))
-    delta = float(_merge(args, "delta", 0.1))
+    game, ngame = _load_game_arg(args.game)
+    delta, horizon = args.delta, args.horizon
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta:g}")
-    horizon = int(_merge(args, "horizon", 10_000))
-    tail_tol = float(_merge(args, "tail_tol", 1e-3))
-    seed = int(_merge(args, "seed", 1))
-    replications = int(_merge(args, "replications", 2000))
     workers = _workers(args)
 
-    sigma_src = _merge(args, "sigma", None)
-    wrap_cap = _merge(args, "wrap_counter_cap", None)
-    if (sigma_src is None) == (wrap_cap is None):
+    if (args.sigma is None) == (args.wrap_counter_cap is None):
         raise ValueError("exactly one of --sigma or --wrap-counter-cap is "
                          "required")
-    if sigma_src == "always-c":
+    indices = advmod.big_match_indices(ngame)
+    if args.sigma == "always-c":
         nz, ni = game.n_states, game.n_actions1
-        indices = advmod.big_match_indices(ngame)
         action = np.zeros((1, 1, ni))
         action[0, 0, indices.continue_action] = 1.0
         kernel = np.ones((1, 1, ni, game.n_actions2, nz, 1))
         table = advmod.PublicMemoryStrategyTable(
             memory_states=1, horizon=horizon, action=action,
             memory_kernel=kernel)
-    elif sigma_src is not None:
-        table = advmod.load_strategy_table(sigma_src)
+    elif args.sigma is not None:
+        table = advmod.load_strategy_table(args.sigma)
     else:
-        config = _counter_config(args)
+        config = make_config(args.epsilon, args.base)
         cache = SolutionCache(ngame, config)
         table = advmod.from_counter_strategy(ngame, config, cache,
-                                             int(wrap_cap), horizon)
+                                             args.wrap_counter_cap, horizon)
 
     result = advmod.build_worthlessness_adversary(ngame, table, delta,
-                                                  horizon, tail_tol)
+                                                  horizon, args.tail_tol)
     cert = result.certificate
 
-    indices = advmod.big_match_indices(ngame)
     tau = advmod.MixedClockedAdversary(result.mixture, indices)
     sigma = engine.TableStrategy(table)
-    stats = engine.monte_carlo(ngame, sigma, tau, horizon, replications,
-                               seed, checkpoints=(horizon,), workers=workers)
+    stats = engine.monte_carlo(ngame, sigma, tau, horizon, args.replications,
+                               args.seed, checkpoints=(horizon,),
+                               workers=workers)
     sim_mean = stats.mean_avg_payoff[horizon]
     sim_se = stats.payoff_se[horizon]
     certified = sim_mean <= 3.0 * delta + 3.0 * sim_se
 
-    out = _out_dir(args)
-    adv_path = os.path.join(out, "adversary.json")
+    adv_path = _out_path(args, "adversary.json")
     with open(adv_path, "w", encoding="utf-8") as fh:
         json.dump({
             "delta": delta,
@@ -268,10 +221,11 @@ def cmd_impossibility(args) -> int:
                            for c in result.mixture.components],
         }, fh)
         fh.write("\n")
-    report_path = os.path.join(out, "impossibility_report.txt")
+    report_path = _out_path(args, "impossibility_report.txt")
     lines = cert.lines() + [
         f"simulated mixture average payoff: {_fmt(sim_mean)} "
-        f"(se {_fmt(sim_se)}, {replications} replications, seed {seed})",
+        f"(se {_fmt(sim_se)}, {args.replications} replications, "
+        f"seed {args.seed})",
         f"certification gamma_T <= 3*delta + 3*SE: "
         f"{'PASS' if certified else 'FAIL'}",
     ]
@@ -285,20 +239,11 @@ def cmd_impossibility(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    game, ngame = _load_game_arg(_merge(args, "game", "big-match"))
-    config = _counter_config(args)
-    cache = SolutionCache(ngame, config)
-    horizon = int(_merge(args, "horizon", 100))
-    replications = int(_merge(args, "replications", 1))
-    seed = int(_merge(args, "seed", 1))
-    adversary_name = _merge(args, "adversary", "uniform")
-
-    sigma = _build_sigma(args, ngame, config, cache)
-    tau = _build_adversary(adversary_name, args, ngame, config, cache,
-                           horizon)
-    traces = engine.run_traces(ngame, sigma, tau, horizon, replications, seed)
-    out = _out_dir(args)
-    trace_path = os.path.join(out, "trace.csv")
+    _, ngame = _load_game_arg(args.game)
+    sigma, tau = _players(args, ngame)
+    traces = engine.run_traces(ngame, sigma, tau, args.horizon,
+                               args.replications, args.seed)
+    trace_path = _out_path(args, "trace.csv")
     engine.write_trace_csv(traces, trace_path)
     print(f"wrote {trace_path}")
     for trace in traces:
@@ -314,114 +259,139 @@ def cmd_trace(args) -> int:
 # parser
 
 
+def float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag once, with its default and type; shared groups below."""
     parser = argparse.ArgumentParser(
         prog="stochgame",
         description="Experiment runner for finite zero-sum stochastic games")
-    parser.add_argument("--config", help="JSON config file; flags override "
-                                         "its values")
+    parser.add_argument("--config", help="JSON object of option values keyed "
+                                         "by dest; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--game", help="built-in name (big-match) or game "
-                                      "JSON path")
-        p.add_argument("--out-dir", dest="out_dir",
-                       help=f"output directory (default ${OUT_DIR_ENV} "
-                            f"or '.')")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--game", default="big-match",
+                       help="built-in name (big-match) or game JSON path")
+        p.add_argument("--out-dir", default=os.environ.get(OUT_DIR_ENV, "."),
+                       help=f"output directory (default ${OUT_DIR_ENV} or .)")
+        return p
 
-    p_solve = sub.add_parser("solve", help="discounted values of a game")
-    common(p_solve)
-    p_solve.add_argument("--lambda", dest="lam", type=float,
-                         help="discount rate in (0, 1]")
-    p_solve.add_argument("--schedule",
-                         help="comma-separated rates for a limit estimate")
-    p_solve.add_argument("--tol", type=float, help="certified accuracy")
-    p_solve.add_argument("--max-iterations", dest="max_iterations", type=int,
-                         help="round cap for strategy iteration")
-    p_solve.add_argument("--csv", help="also write values to this CSV path")
-    p_solve.set_defaults(func=cmd_solve)
+    def rate(p, text):
+        p.add_argument("--lambda", dest="lam", type=float, help=text)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo of a strategy pair")
-    common(p_sim)
-    p_sim.add_argument("--epsilon", type=float, help="target optimality gap")
-    p_sim.add_argument("--base", type=float,
+    def counter(p):
+        p.add_argument("--epsilon", type=float, default=0.2,
+                       help="target optimality gap")
+        p.add_argument("--base", type=float, default=100.0,
                        help="counter start position (position grid origin)")
-    p_sim.add_argument("--sigma", help="counter (default), "
-                                       "stationary-lambda, or a table file")
-    p_sim.add_argument("--lambda", dest="lam", type=float,
-                       help="rate for sigma=stationary-lambda")
-    p_sim.add_argument("--adversary", help="always-0, always-1, uniform, or "
-                                           "best-response")
-    p_sim.add_argument("--br-cap", dest="br_cap", type=int,
+
+    def players(p):
+        p.add_argument("--sigma", default="counter",
+                       help="counter, stationary-lambda, or a table file")
+        rate(p, "rate for sigma=stationary-lambda")
+        p.add_argument("--adversary", default="uniform",
+                       help="always-0, always-1, uniform, or best-response")
+        p.add_argument("--br-cap", type=int, default=40,
                        help="counter cap for the best-response table")
-    p_sim.add_argument("--br-horizon", dest="br_horizon", type=int,
-                       help="build horizon for the best-response policy")
-    p_sim.add_argument("--horizon", type=int)
-    p_sim.add_argument("--replications", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--checkpoints", help="comma-separated stage list")
-    p_sim.add_argument("--workers", type=int, help="parallel chunk workers; "
-                                                   "output identical for "
-                                                   "every value")
-    p_sim.set_defaults(func=cmd_simulate)
+        p.add_argument("--br-horizon", type=int,
+                       help=f"build horizon for the best-response policy "
+                            f"(default min(--horizon, {BR_HORIZON_CAP}))")
 
-    p_val = sub.add_parser("validate-constants",
-                           help="check the strategy's numeric inequalities")
-    common(p_val)
-    p_val.add_argument("--epsilon", type=float)
-    p_val.add_argument("--base", type=float)
-    p_val.add_argument("--depth", type=int, help="counter grid depth")
-    p_val.set_defaults(func=cmd_validate_constants)
+    def run(p, horizon, replications, workers=True):
+        p.add_argument("--horizon", type=int, default=horizon)
+        p.add_argument("--replications", type=int, default=replications)
+        p.add_argument("--seed", type=int, default=1)
+        if workers:
+            p.add_argument("--workers", type=int, default=1,
+                           help="parallel chunk workers; output identical "
+                                "for every value")
 
-    p_imp = sub.add_parser("impossibility",
-                           help="synthesize and certify a worthlessness "
-                                "adversary")
-    common(p_imp)
-    p_imp.add_argument("--sigma", help="strategy table JSON, or always-c")
-    p_imp.add_argument("--wrap-counter-cap", dest="wrap_counter_cap",
-                       type=int, help="wrap the built-in counter strategy "
-                                      "with this cap instead of --sigma")
-    p_imp.add_argument("--epsilon", type=float)
-    p_imp.add_argument("--base", type=float)
-    p_imp.add_argument("--delta", type=float)
-    p_imp.add_argument("--horizon", type=int)
-    p_imp.add_argument("--tail-tol", dest="tail_tol", type=float)
-    p_imp.add_argument("--seed", type=int)
-    p_imp.add_argument("--replications", type=int)
-    p_imp.add_argument("--workers", type=int)
-    p_imp.set_defaults(func=cmd_impossibility)
+    p = command("solve", cmd_solve, "discounted values of a game")
+    rate(p, "discount rate in (0, 1]")
+    p.add_argument("--schedule", type=float_list,
+                   help="comma-separated rates for a limit estimate")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="certified accuracy")
+    p.add_argument("--max-iterations", type=int, default=MAX_ROUNDS,
+                   help="round cap for strategy iteration")
+    p.add_argument("--csv", help="also write values to this CSV path")
 
-    p_tr = sub.add_parser("trace", help="write full episode traces")
-    common(p_tr)
-    p_tr.add_argument("--epsilon", type=float)
-    p_tr.add_argument("--base", type=float)
-    p_tr.add_argument("--sigma")
-    p_tr.add_argument("--lambda", dest="lam", type=float)
-    p_tr.add_argument("--adversary")
-    p_tr.add_argument("--br-cap", dest="br_cap", type=int)
-    p_tr.add_argument("--br-horizon", dest="br_horizon", type=int)
-    p_tr.add_argument("--horizon", type=int)
-    p_tr.add_argument("--replications", type=int)
-    p_tr.add_argument("--seed", type=int)
-    p_tr.set_defaults(func=cmd_trace)
+    p = command("simulate", cmd_simulate, "Monte Carlo of a strategy pair")
+    counter(p)
+    players(p)
+    run(p, horizon=1000, replications=100)
+    p.add_argument("--checkpoints", type=int_list,
+                   help="comma-separated stage list")
 
+    p = command("validate-constants", cmd_validate_constants,
+                "check the strategy's numeric inequalities")
+    counter(p)
+    p.add_argument("--depth", type=int, default=40, help="counter grid depth")
+
+    p = command("impossibility", cmd_impossibility,
+                "synthesize and certify a worthlessness adversary")
+    p.add_argument("--sigma", help="strategy table JSON, or always-c")
+    p.add_argument("--wrap-counter-cap", type=int,
+                   help="wrap the built-in counter strategy with this cap "
+                        "instead of --sigma")
+    counter(p)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--tail-tol", type=float, default=1e-3)
+    run(p, horizon=10_000, replications=2000)
+
+    p = command("trace", cmd_trace, "write full episode traces")
+    counter(p)
+    players(p)
+    run(p, horizon=100, replications=1, workers=False)
     return parser
+
+
+def _use_config(parser, command: str, path: str) -> None:
+    """Make the config file's entries the chosen subcommand's defaults, each
+    converted by its flag's type as on the command line; flags still win."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    flags = {a.dest: a for a in sub._actions if a.dest != "help"}
+    accepted = f"accepted keys for {command}: {', '.join(sorted(flags))}"
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"config file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {path}: expected a JSON object, got "
+                         f"{type(doc).__name__}; {accepted}")
+    for key, value in doc.items():
+        if key not in flags:
+            raise ValueError(f"config file {path}: unknown key {key!r}; "
+                             f"{accepted}")
+        try:
+            if type(value) not in (str, int, float):  # bool, list, null, ...
+                raise ValueError
+            doc[key] = (flags[key].type or str)(str(value))
+        except ValueError:
+            raise ValueError(
+                f"config file {path}: key {key!r}: {json.dumps(value)} is "
+                f"not a valid {flags[key].option_strings[0]} value") from None
+    sub.set_defaults(**doc)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                args._config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: config file: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        args._config = {}
-
     try:
+        if args.config is not None:
+            _use_config(parser, args.command, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except FeasibilityError as exc:
         print(f"error: infeasible configuration: {exc}", file=sys.stderr)
@@ -435,7 +405,6 @@ def main(argv=None) -> int:
     except MatrixSolveError as exc:
         print(f"error: matrix game solve failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (GameValidationError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # GameValidationError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,8 +48,8 @@ class CounterConfig:
 
     growth is the multiplicative grid step 1 + epsilon/9; base is the
     smallest counter position (level 0); memory_slope is the coefficient of
-    ln n in the memory bounds (default: 4/ln growth, the smallest admissible
-    choice and hence the tightest bound to test); min_horizon is
+    ln n in the memory bounds, 4/ln growth (the smallest admissible choice
+    and hence the tightest bound to test); min_horizon is
     72/(epsilon^2 * rate(base)), the stage count beyond which the epsilon
     guarantees bind, and doubles as the additive allowance in the uniform
     memory bound m_n <= min_horizon + memory_slope * ln n.
@@ -77,8 +77,7 @@ class MemoryUpdate:
     p_down: np.ndarray
 
 
-def make_config(epsilon: float, base: float,
-                memory_slope: float | None = None) -> CounterConfig:
+def make_config(epsilon: float, base: float) -> CounterConfig:
     """Build a validated CounterConfig.
 
     Rejects infeasible bases: base * (growth-1) / growth >= 9/8 is required
@@ -98,16 +97,10 @@ def make_config(epsilon: float, base: float,
             f"base {base:g} infeasible for epsilon {epsilon:g}: requires "
             f"base * (growth-1)/growth >= 9/8, i.e. base >= {minimal:.6g}",
             minimal_base=minimal)
-    slope = 4.0 / math.log(growth)
-    if memory_slope is None:
-        memory_slope = slope
-    elif memory_slope < slope:
-        raise ValueError(
-            f"memory_slope {memory_slope:g} below the admissible minimum "
-            f"4/ln(growth) = {slope:.6g}")
     min_horizon = 72.0 / (epsilon ** 2 * discount_rate(base))
     return CounterConfig(epsilon=epsilon, growth=growth, base=base,
-                         memory_slope=memory_slope, min_horizon=min_horizon)
+                         memory_slope=4.0 / math.log(growth),
+                         min_horizon=min_horizon)
 
 
 def _unit(name: str, x) -> np.ndarray:
@@ -232,8 +225,7 @@ def validate_constants(config: CounterConfig, ngame: NormalizedGame,
         for k2 in neighbours:
             if k2 > grid_depth:
                 continue
-            r2 = rates[k2] if k2 in rates else config.rate_at(k2)
-            rate_var.append(eps * rates[k] / 8.0 - abs(rates[k] - r2))
+            rate_var.append(eps * rates[k] / 8.0 - abs(rates[k] - rates[k2]))
             rate_levels.append(k)
 
     checks = (

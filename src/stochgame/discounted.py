@@ -242,11 +242,10 @@ class SolutionCache:
     """
 
     def __init__(self, ngame: NormalizedGame, rate_source,
-                 tol: float = DEFAULT_TOL, max_iter: int = MAX_ROUNDS):
+                 tol: float = DEFAULT_TOL):
         self.ngame = ngame
         self.rate_source = rate_source
         self.tol = tol
-        self.max_iter = max_iter
         self._solutions: dict[int, DiscountedSolution] = {}
         self._lock = threading.Lock()
 
@@ -263,6 +262,6 @@ class SolutionCache:
         if sol is not None:
             return sol
         sol = solve_discounted(self.ngame, self.rate_source.rate_at(k),
-                               tol=self.tol, max_iter=self.max_iter)
+                               tol=self.tol)
         with self._lock:
             return self._solutions.setdefault(k, sol)

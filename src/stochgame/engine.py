@@ -73,11 +73,10 @@ class CounterStrategy:
     """
 
     def __init__(self, ngame: NormalizedGame, config: CounterConfig,
-                 cache: SolutionCache | None = None):
+                 cache: SolutionCache):
         self.ngame = ngame
-        self.config = config
         self.counter_config = config
-        self.cache = cache if cache is not None else SolutionCache(ngame, config)
+        self.cache = cache
         self._levels = 0
         self._cum_act = np.zeros((0, ngame.game.n_states,
                                   ngame.game.n_actions1))
@@ -99,7 +98,7 @@ class CounterStrategy:
             new = np.arange(self._levels, max(levels, self._levels * 2, 8))
             sols = [self.cache.at(k) for k in new.tolist()]
             upd = update_distribution(
-                self.config, new[:, None, None, None, None],
+                self.counter_config, new[:, None, None, None, None],
                 self.ngame.game.payoff[None, :, :, :, None],
                 np.stack([sol.values for sol in sols])[:, None, None, None, :])
             self._cum_act = np.concatenate(
@@ -364,6 +363,15 @@ def pool_size(workers: int, chunks: int) -> int:
     return min(workers, chunks, os.cpu_count() or 1)
 
 
+def _check_run(horizon: int, replications: int, base_seed: int) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    if not 0 <= base_seed < 2 ** 64:
+        raise ValueError("base_seed must fit in an unsigned 64-bit integer")
+
+
 def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
                 replications: int, base_seed: int,
                 checkpoints: tuple[int, ...] | None = None,
@@ -375,12 +383,7 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     partitioning is fixed by chunk_size alone, and partial results combine
     in chunk order, so the output is identical for any worker count.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if not 0 <= base_seed < 2 ** 64:
-        raise ValueError("base_seed must fit in an unsigned 64-bit integer")
+    _check_run(horizon, replications, base_seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoints is None:
@@ -456,6 +459,7 @@ def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
     Trace r is bit-identical to what replication r of a monte_carlo run
     with the same base_seed plays.
     """
+    _check_run(horizon, replications, base_seed)
     sigma.prepare(horizon)
     tau.prepare(horizon)
     out = []

@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -251,6 +252,19 @@ def test_trace_writes_csv(tmp_path, capsys):
     assert "replication 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "0", "horizon must be >= 1"),
+    ("--replications", "0", "replications must be >= 1"),
+    ("--seed", "-1", "base_seed must fit"),
+])
+def test_trace_rejects_bad_run_size(tmp_path, flag, value, message):
+    proc = run_module("trace", flag, value, "--out-dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------- config file
 
 def test_config_file_with_flag_override(tmp_path):
@@ -272,6 +286,31 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[-1].split(",")[0] == "80"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ("horizon seed", "accepted keys for simulate: "),  # not an object
+    ({"lambda": 0.01}, "unknown key 'lambda'"),        # the dest is lam
+    ({"horizn": 50}, "unknown key 'horizn'"),
+    ({"horizon": 64.5}, "key 'horizon': 64.5 is not a valid --horizon"),
+    ({"seed": True}, "key 'seed': true"),
+])
+def test_config_file_bad_entry_exits_two(tmp_path, doc, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    proc = run_module("--config", str(cfg), "simulate",
+                      "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_keys_are_dests(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lam": 0.01, "max_iterations": 5}))
+    assert cli.main(["--config", str(cfg), "solve"]) == 0
+    assert "state live: value 0.5" in capsys.readouterr().out
+
+
 def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{oops")
@@ -285,6 +324,25 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
                      "--seed", "1"])
     assert code == 0
     assert (target / "stats.csv").exists()
+
+
+# ------------------------------------------------------------------ README
+
+def test_readme_cli_block_parses():
+    """Every `stochgame ...` line of the README's CLI block, continuation
+    lines joined and comments dropped, parses; nothing is run."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines()
+                if line.startswith("stochgame ")]
+    assert {argv[0] for argv in commands} == {
+        "solve", "simulate", "validate-constants", "impossibility", "trace"}
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)  # argparse exits on any unknown flag
+        assert args.command == argv[0]
 
 
 # ------------------------------------------------------------- entry point

@@ -34,10 +34,6 @@ def test_config_validation():
             make_config(eps, 100.0)
     with pytest.raises(ValueError):
         make_config(0.2, 1.5)
-    with pytest.raises(ValueError):
-        make_config(0.2, 100.0, memory_slope=10.0)  # below 4/ln(growth)
-    custom = make_config(0.2, 100.0, memory_slope=500.0)
-    assert custom.memory_slope == 500.0
 
 
 def test_infeasible_base_names_the_threshold():

@@ -185,14 +185,11 @@ def test_checkpoint_validation(bm, counter_sigma, uniform_tau):
 
 
 def test_input_validation(bm, counter_sigma, uniform_tau):
-    with pytest.raises(ValueError):
-        monte_carlo(bm, counter_sigma, uniform_tau, 0, 4, 1)
-    with pytest.raises(ValueError):
-        monte_carlo(bm, counter_sigma, uniform_tau, 10, 0, 1)
-    with pytest.raises(ValueError):
-        monte_carlo(bm, counter_sigma, uniform_tau, 10, 4, -1)
-    with pytest.raises(ValueError):
-        monte_carlo(bm, counter_sigma, uniform_tau, 10, 4, 2 ** 64)
+    # (horizon, replications, base_seed), checked alike by both entry points
+    for run in ((0, 4, 1), (10, 0, 1), (10, 4, -1), (10, 4, 2 ** 64)):
+        for simulate in (monte_carlo, run_traces):
+            with pytest.raises(ValueError):
+                simulate(bm, counter_sigma, uniform_tau, *run)
 
 
 def test_memory_statistics_only_with_counter(bm, counter_sigma, uniform_tau):
