@@ -23,9 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .counter import update_distribution
-from .games import NormalizedGame, sample_rows
-
-PROB_TOL = 1e-9
+from .games import (PROB_TOL, GameSpec, NormalizedGame, probability_rows,
+                    sample_rows, stage_row)
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +62,7 @@ class PublicMemoryStrategyTable:
                 raise ValueError(
                     f"{name} leading axis {table.shape[0]} must be 1 "
                     f"(stationary) or horizon {self.horizon}")
-            sums = table.sum(axis=-1)
-            if np.any(np.abs(sums - 1.0) > PROB_TOL) or np.any(table < -PROB_TOL):
-                raise ValueError(f"{name} rows must be probability vectors")
+            probability_rows(name, table)
         action.flags.writeable = False
         kernel.flags.writeable = False
         object.__setattr__(self, "action", action)
@@ -75,12 +72,20 @@ class PublicMemoryStrategyTable:
     def stationary(self) -> bool:
         return self.action.shape[0] == 1 and self.memory_kernel.shape[0] == 1
 
-    def action_at(self, t: int) -> np.ndarray:
-        return self.action[0 if self.action.shape[0] == 1 else t - 1]
+    def check_horizon(self, horizon: int) -> None:
+        """Reject play of fewer than one stage or past the table's horizon."""
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if self.horizon is not None and horizon > self.horizon:
+            raise ValueError(f"horizon {horizon} exceeds the table's horizon "
+                             f"{self.horizon}")
 
-    def kernel_at(self, t: int) -> np.ndarray:
-        return self.memory_kernel[
-            0 if self.memory_kernel.shape[0] == 1 else t - 1]
+    def check_game(self, game: GameSpec) -> None:
+        """Reject a game whose action or state counts differ from the table's."""
+        if (self.action.shape[2] != game.n_actions1
+                or self.memory_kernel.shape[2:5] != (
+                    game.n_actions1, game.n_actions2, game.n_states)):
+            raise ValueError("table dimensions do not match the game")
 
 
 def save_strategy_table(table: PublicMemoryStrategyTable, path: str) -> None:
@@ -131,6 +136,9 @@ def from_counter_strategy(ngame: NormalizedGame, config, cache, cap: int,
     absorption the true counter sees a constant payoff instead, but memory
     evolution there influences neither payoffs nor best responses.
     """
+    if not 0 <= cap <= config.last_level:
+        raise ValueError(f"counter cap {cap} must lie in [0, {config.last_level}]"
+                         f", the levels whose discount rate is normal")
     game = ngame.game
     live = game.initial_state
     m = np.arange(cap + 1)
@@ -174,21 +182,16 @@ def best_response_public(ngame: NormalizedGame,
     stage-wise minimization break toward the higher action index, so at
     exact indifference the policy plays the latter action.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if sigma.horizon is not None and horizon > sigma.horizon:
-        raise ValueError(f"horizon {horizon} exceeds the table's horizon "
-                         f"{sigma.horizon}")
+    sigma.check_horizon(horizon)
     game = ngame.game
-    nz, ni, nj = game.n_states, game.n_actions1, game.n_actions2
+    sigma.check_game(game)
+    nz, nj = game.n_states, game.n_actions2
     m_states = sigma.memory_states
-    if sigma.action.shape[2] != ni or sigma.memory_kernel.shape[2:5] != (ni, nj, nz):
-        raise ValueError("table dimensions do not match the game")
     policy = np.zeros((horizon, nz, m_states), dtype=np.int8)
     values = np.zeros((nz, m_states))
     for t in range(horizon, 0, -1):
-        act = sigma.action_at(t)       # (M, I)
-        ker = sigma.kernel_at(t)       # (M, I, J, Z, M')
+        act = stage_row(sigma.action, t)         # (M, I)
+        ker = stage_row(sigma.memory_kernel, t)  # (M, I, J, Z, M')
         cont = np.einsum("mijwn,wn->mijw", ker, values)
         expected = np.einsum("zijw,mijw->zmij", game.transition, cont)
         stage = np.einsum("mi,zij->zmj", act, game.payoff)
@@ -204,23 +207,25 @@ def best_response_public(ngame: NormalizedGame,
 # adversary objects consumed by the simulation engine
 
 
-class StationaryAdversary:
-    """Plays a fixed mixture per game state, ignoring clock and memory."""
+class Adversary:
+    """Defaults of the engine's player-2 interface: no uniform drawn at
+    episode start, nothing to prepare for a horizon, no component.  Each
+    subclass defines its own act(t, z, m, comp, u)."""
 
     init_draws = 0
-
-    def __init__(self, dist):
-        dist = np.asarray(dist, dtype=np.float64)
-        if np.any(dist < 0) or np.any(np.abs(dist.sum(axis=-1) - 1.0) > PROB_TOL):
-            raise ValueError("rows must be probability vectors")
-        self.dist = dist
-        self.cum = np.cumsum(dist, axis=-1)
 
     def prepare(self, horizon: int) -> None:
         pass
 
     def start(self, u0):
         return None
+
+
+class StationaryAdversary(Adversary):
+    """Plays a fixed mixture per game state, ignoring clock and memory."""
+
+    def __init__(self, dist):
+        self.cum = np.cumsum(probability_rows("mixture", dist), axis=-1)
 
     def act(self, t, z, m, comp, u):
         return sample_rows(self.cum[z], u)
@@ -236,36 +241,25 @@ def pure_column_adversary(n_states: int, n_cols: int, j: int) -> StationaryAdver
     return StationaryAdversary(dist)
 
 
-class MarkovAdversary:
+class MarkovAdversary(Adversary):
     """Plays a per-stage mixture table (t, z); stages past the table clamp
     to its last row."""
-
-    init_draws = 0
 
     def __init__(self, dist_table):
         table = np.asarray(dist_table, dtype=np.float64)
         if table.ndim != 3:
             raise ValueError("expected a (stages, states, actions) table")
-        if np.any(table < 0) or np.any(np.abs(table.sum(axis=-1) - 1.0) > PROB_TOL):
-            raise ValueError("rows must be probability vectors")
-        self.table = table
-        self.cum = np.cumsum(table, axis=-1)
-
-    def prepare(self, horizon: int) -> None:
-        pass
-
-    def start(self, u0):
-        return None
+        self.cum = np.cumsum(probability_rows("mixture", table), axis=-1)
 
     def act(self, t, z, m, comp, u):
-        return sample_rows(self.cum[min(t - 1, self.cum.shape[0] - 1)][z], u)
+        return sample_rows(stage_row(self.cum, t)[z], u)
 
 
 def markov_adversary(dist_table) -> MarkovAdversary:
     return MarkovAdversary(dist_table)
 
 
-class BestResponseAdversary:
+class BestResponseAdversary(Adversary):
     """Plays a precomputed backward-induction policy over (t, z, m).
 
     The policy is built for build_horizon stages by stages-remaining; when
@@ -275,8 +269,6 @@ class BestResponseAdversary:
     last row.
     """
 
-    init_draws = 0
-
     def __init__(self, policy: np.ndarray, build_horizon: int):
         self.policy = policy
         self.build_horizon = build_horizon
@@ -284,9 +276,6 @@ class BestResponseAdversary:
 
     def prepare(self, horizon: int) -> None:
         self._shift = max(0, horizon - self.build_horizon)
-
-    def start(self, u0):
-        return None
 
     def act(self, t, z, m, comp, u):
         row = max(1, t - self._shift)
@@ -412,18 +401,14 @@ class WorthlessnessCertificate:
         window = max(1, self.horizon // 10)
         return float(self.stage_payoffs[:, -window:].mean(axis=1).min())
 
-    def exceed_counts(self) -> np.ndarray:
-        """Per certified stage, how many components still collect >= delta."""
-        certified = self.stage_payoffs[:, self.t_delta - 1:]
-        return (certified >= self.delta).sum(axis=0)
-
     @property
     def max_exceed_count(self) -> int:
-        return int(self.exceed_counts().max())
+        """Most components still collecting >= delta at a certified stage."""
+        certified = self.stage_payoffs[:, self.t_delta - 1:]
+        return int((certified >= self.delta).sum(axis=0).max())
 
     def lines(self) -> list[str]:
-        counts = self.exceed_counts()
-        max_count = int(counts.max()) if counts.size else 0
+        max_count = self.max_exceed_count
         max_tail = max(self.tails) if self.tails else 0.0
         return [
             f"components: {self.stage_payoffs.shape[0]}  "
@@ -454,29 +439,27 @@ class WorthlessnessResult:
 def _forward_pass(a, c, kc0, kc1, ones, horizon):
     """Exact occupancy recursion for one pure clocked adversary.
 
-    a[t-1, m]/c[t-1, m]: absorb/continue action probabilities (broadcast
-    rows when stationary); kc0/kc1: memory kernels under continue and
+    a[t-1, m]/c[t-1, m]: absorb/continue action probabilities (a single
+    row when stationary); kc0/kc1: memory kernels under continue and
     columns 0/1; ones: (T, M) bool, True where the adversary plays 1.
     Returns (occupancy Q, per-stage absorb-at-one/zero masses, stage payoffs).
     """
-    t_rows = a.shape[0]
-    m_states = a.shape[1]
-    occupancy = np.zeros((horizon, m_states))
+    occupancy = np.zeros((horizon, a.shape[1]))
     occupancy[0, 0] = 1.0
     absorb1 = np.zeros(horizon)
     absorb0 = np.zeros(horizon)
     live_pay = np.zeros(horizon)
     for t in range(horizon):
-        row = min(t, t_rows - 1)
         q = occupancy[t]
         mask = ones[t]
-        absorb_mass = q * a[row]
+        absorb_mass = q * stage_row(a, t + 1)
         absorb1[t] = absorb_mass[mask].sum()
         absorb0[t] = absorb_mass[~mask].sum()
-        cont_mass = q * c[row]
+        cont_mass = q * stage_row(c, t + 1)
         live_pay[t] = cont_mass[~mask].sum()  # continue vs column 0 pays 1
         if t + 1 < horizon:
-            k_eff = np.where(mask[:, None], kc1[row], kc0[row])
+            k_eff = np.where(mask[:, None], stage_row(kc1, t + 1),
+                             stage_row(kc0, t + 1))
             occupancy[t + 1] = cont_mass @ k_eff
     payoffs = np.cumsum(absorb1) + live_pay
     return occupancy, absorb1, absorb0, payoffs
@@ -501,18 +484,11 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if sigma.horizon is not None and horizon > sigma.horizon:
-        raise ValueError(f"horizon {horizon} exceeds the table's horizon "
-                         f"{sigma.horizon}")
+    if not tail_tol > 0.0:  # the tail test tail < tail_tol could never pass
+        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+    sigma.check_horizon(horizon)
     idx = big_match_indices(ngame)
-    game = ngame.game
-    if (sigma.action.shape[2] != game.n_actions1
-            or sigma.memory_kernel.shape[2:5] != (game.n_actions1,
-                                                  game.n_actions2,
-                                                  game.n_states)):
-        raise ValueError("table dimensions do not match the game")
+    sigma.check_game(ngame.game)
     m_states = sigma.memory_states
     n_components = (1 if delta >= 1.0
                     else int(np.floor((m_states + 1) / delta)) + 1)
@@ -522,8 +498,7 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     kern = sigma.memory_kernel
     kc0 = kern[:, :, idx.continue_action, idx.col_zero, idx.live, :]
     kc1 = kern[:, :, idx.continue_action, idx.col_one, idx.live, :]
-    a_full = (np.broadcast_to(a, (horizon, m_states)) if a.shape[0] == 1
-              else a[:horizon])
+    a_full = np.array([stage_row(a, t) for t in range(1, horizon + 1)])
 
     ones = np.zeros((horizon, m_states), dtype=bool)
     components: list[PureClockedAdversary] = []

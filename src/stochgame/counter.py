@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,20 @@ class CounterConfig:
     memory_slope: float
     min_horizon: float
 
+    @cached_property
+    def last_level(self) -> int:
+        """The deepest level whose discount rate is a positive normal float,
+        found walking down from where the position alone reaches 1/tiny."""
+        tiny = np.finfo(float).tiny
+        k = math.floor(-math.log(tiny * self.base) / math.log(self.growth))
+        while k >= 0 and not discount_rate(self.growth ** k * self.base) >= tiny:
+            k -= 1
+        return k
+
     def position_at(self, level: int) -> float:
+        if level > self.last_level:
+            raise ValueError(f"counter level {level} is past level "
+                             f"{self.last_level}, the last with a normal rate")
         return self.growth ** level * self.base
 
     def rate_at(self, level: int) -> float:
@@ -193,9 +207,9 @@ def validate_constants(config: CounterConfig, ngame: NormalizedGame,
         raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
     eps = config.epsilon
     levels = list(range(grid_depth + 1))
+    positions = {k: config.position_at(k) for k in levels}  # depth checked
+    rates = {k: config.rate_at(k) for k in levels}          # before any solve
     values = {k: cache.at(k).values for k in levels}
-    positions = {k: config.position_at(k) for k in levels}
-    rates = {k: config.rate_at(k) for k in levels}
 
     tail = np.stack([values[k] for k in levels[-3:]])
     limit = values[grid_depth]

@@ -71,6 +71,11 @@ def _check_rate(lam: float) -> None:
         raise ValueError(f"discount rate must lie in (0, 1], got {lam}")
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
+
+
 def _policy_values(p: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
     """Values v = lam r + (1 - lam) p v of one stationary policy.
 
@@ -162,6 +167,7 @@ def solve_discounted(ngame: NormalizedGame, lam: float, tol: float = DEFAULT_TOL
     """Solve for v_lam, certified by a best-reply bracket of width <= tol;
     SolverIterationError after max_iter rounds without one."""
     _check_rate(lam)
+    _check_tol(tol)
     game = ngame.game
     nz = game.n_states
     x = np.zeros((nz, game.n_actions1))
@@ -243,6 +249,7 @@ class SolutionCache:
 
     def __init__(self, ngame: NormalizedGame, rate_source,
                  tol: float = DEFAULT_TOL):
+        _check_tol(tol)
         self.ngame = ngame
         self.rate_source = rate_source
         self.tol = tol

@@ -29,7 +29,8 @@ import numpy as np
 
 from .counter import CounterConfig, update_distribution
 from .discounted import SolutionCache
-from .games import NormalizedGame, is_absorbing, sample_rows, transition_cdf
+from .games import (NormalizedGame, is_absorbing, probability_rows,
+                    sample_rows, stage_row, transition_cdf)
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99, 1.0)
 
@@ -49,10 +50,7 @@ class StationaryStrategy:
     counter_config: CounterConfig | None = None
 
     def __init__(self, dist):
-        dist = np.asarray(dist, dtype=np.float64)
-        if np.any(dist < 0) or np.any(np.abs(dist.sum(axis=-1) - 1.0) > 1e-9):
-            raise ValueError("rows must be probability vectors")
-        self.cum = np.cumsum(dist, axis=-1)
+        self.cum = np.cumsum(probability_rows("strategy", dist), axis=-1)
 
     def prepare(self, horizon: int) -> None:
         pass
@@ -132,20 +130,13 @@ class TableStrategy:
         self._cum_ker = np.cumsum(table.memory_kernel, axis=-1)
 
     def prepare(self, horizon: int) -> None:
-        if self.table.horizon is not None and horizon > self.table.horizon:
-            raise ValueError(f"horizon {horizon} exceeds the table's horizon "
-                             f"{self.table.horizon}")
-
-    def _row(self, table, t):
-        return table[0 if table.shape[0] == 1 else t - 1]
+        self.table.check_horizon(horizon)
 
     def act(self, t, z, k, u):
-        rows = self._row(self._cum_act, t)[k]
-        return sample_rows(rows, u)
+        return sample_rows(stage_row(self._cum_act, t)[k], u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
-        rows = self._row(self._cum_ker, t)[k, i, j, z_next]
-        return sample_rows(rows, u)
+        return sample_rows(stage_row(self._cum_ker, t)[k, i, j, z_next], u)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +203,10 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
 
 
 def _quantiles_from_hist(hist: np.ndarray, total: int) -> dict[float, int]:
+    """Least level whose cumulative count reaches q * total (q = 1: the top)."""
     cum = np.cumsum(hist)
-    out = {}
-    for q in QUANTILE_LEVELS:
-        rank = q * total
-        out[q] = int(np.searchsorted(cum, rank, side="left"))
-    if total > 0:
-        out[1.0] = int(np.flatnonzero(hist)[-1]) if hist.any() else 0
-    return out
+    return {q: int(np.searchsorted(cum, q * total, side="left"))
+            for q in QUANTILE_LEVELS}
 
 
 @dataclass
@@ -227,7 +214,6 @@ class _ChunkResult:
     payoff_sum: np.ndarray      # per checkpoint
     payoff_sumsq: np.ndarray
     max_mem_hists: list[np.ndarray]
-    exceed_counts: np.ndarray | None
     uniform_exceed: int
     traces: list[EpisodeTrace] = field(default_factory=list)
 
@@ -242,8 +228,9 @@ def _merge_hists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                     base_seed: int, rep_start: int, rep_count: int,
-                    checkpoints: tuple[int, ...],
-                    memory_thresholds, collect_traces: bool) -> _ChunkResult:
+                    checkpoints: tuple[int, ...], stage_curve,
+                    collect_traces: bool) -> _ChunkResult:
+    """stage_curve[t-1]: uniform memory bound at stage t (None: no counter)."""
     game = ngame.game
     nz = game.n_states
     tcdf = transition_cdf(game)
@@ -268,8 +255,6 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
     payoff_sum = np.zeros(n_cp)
     payoff_sumsq = np.zeros(n_cp)
     hists: list[np.ndarray] = []
-    exceed = (np.zeros(n_cp, dtype=np.int64)
-              if memory_thresholds is not None else None)
     cp_index = 0
 
     if collect_traces:
@@ -287,8 +272,8 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
         for s in range(b):
             u = u_block[:, s, :]
             np.maximum(max_mem, k, out=max_mem)
-            if memory_thresholds is not None:
-                uniform_flag |= k > memory_thresholds.stage_curve[t - 1]
+            if stage_curve is not None:
+                uniform_flag |= k > stage_curve[t - 1]
             i = sigma.act(t, z, k, u[:, 0])
             j = tau.act(t, z, k, comp, u[:, 1])
             z_next = sample_rows(tcdf[z, i, j], u[:, 2])
@@ -307,9 +292,6 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                 payoff_sum[cp_index] = rbar.sum()
                 payoff_sumsq[cp_index] = (rbar * rbar).sum()
                 hists.append(np.bincount(max_mem))
-                if exceed is not None:
-                    bound = memory_thresholds.cp_bounds[cp_index]
-                    exceed[cp_index] = int((max_mem >= bound).sum())
                 cp_index += 1
                 next_cp = next(cp_iter, None)
             t += 1
@@ -332,29 +314,8 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                 absorption_stage=absorption))
 
     return _ChunkResult(payoff_sum=payoff_sum, payoff_sumsq=payoff_sumsq,
-                        max_mem_hists=hists, exceed_counts=exceed,
-                        uniform_exceed=int(uniform_flag.sum()),
-                        traces=traces)
-
-
-class _Thresholds:
-    """stage_curve[t-1]: uniform bound min_horizon + slope*ln t;
-    cp_bounds[idx]: max-memory bound slope*ln n at checkpoint idx."""
-
-    def __init__(self, stage_curve: np.ndarray, cp_bounds: np.ndarray):
-        self.stage_curve = stage_curve
-        self.cp_bounds = cp_bounds
-
-
-def _memory_thresholds(config: CounterConfig | None, horizon: int,
-                       checkpoints: tuple[int, ...]):
-    if config is None:
-        return None
-    stage_curve = config.min_horizon + config.memory_slope * np.log(
-        np.arange(1, horizon + 1, dtype=np.float64))
-    cp_bounds = np.array([config.memory_slope * math.log(n)
-                          for n in checkpoints])
-    return _Thresholds(stage_curve, cp_bounds)
+                        max_mem_hists=hists,
+                        uniform_exceed=int(uniform_flag.sum()), traces=traces)
 
 
 def pool_size(workers: int, chunks: int) -> int:
@@ -396,8 +357,9 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
 
     sigma.prepare(horizon)
     tau.prepare(horizon)
-    thresholds = _memory_thresholds(sigma.counter_config, horizon,
-                                    checkpoints)
+    config = sigma.counter_config
+    curve = None if config is None else config.min_horizon + (
+        config.memory_slope * np.log(np.arange(1, horizon + 1.0)))
 
     chunks = [(start, min(chunk_size, replications - start))
               for start in range(0, replications, chunk_size)]
@@ -405,7 +367,7 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     def run(chunk):
         start, count = chunk
         return _simulate_chunk(ngame, sigma, tau, horizon, base_seed, start,
-                               count, checkpoints, thresholds, False)
+                               count, checkpoints, curve, False)
 
     threads = pool_size(workers, len(chunks))
     if threads > 1:
@@ -417,21 +379,17 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     payoff_sum = np.zeros(len(checkpoints))
     payoff_sumsq = np.zeros(len(checkpoints))
     hists = [np.zeros(1, dtype=np.int64) for _ in checkpoints]
-    exceed = np.zeros(len(checkpoints), dtype=np.int64)
     uniform_count = 0
     for res in results:
         payoff_sum += res.payoff_sum
         payoff_sumsq += res.payoff_sumsq
         hists = [_merge_hists(h, rh) for h, rh in zip(hists, res.max_mem_hists)]
-        if res.exceed_counts is not None:
-            exceed += res.exceed_counts
         uniform_count += res.uniform_exceed
 
     n_reps = replications
     mean = {}
     se = {}
     quantiles = {}
-    exceed_rate = {} if thresholds is not None else None
     for idx, n in enumerate(checkpoints):
         mu = payoff_sum[idx] / n_reps
         mean[n] = float(mu)
@@ -441,15 +399,17 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
         else:
             se[n] = 0.0
         quantiles[n] = _quantiles_from_hist(hists[idx], n_reps)
-        if exceed_rate is not None:
-            exceed_rate[n] = float(exceed[idx] / n_reps)
+    # integer levels: max memory >= slope*ln n iff it is >= the ceiling
+    exceed_rate = None if config is None else {
+        n: float(h[math.ceil(config.memory_slope * math.log(n)):].sum() / n_reps)
+        for n, h in zip(checkpoints, hists)}
 
     return RunStatistics(
         horizon=horizon, replications=n_reps, base_seed=base_seed,
         checkpoints=checkpoints, mean_avg_payoff=mean, payoff_se=se,
         max_memory_quantiles=quantiles, exceed_rate=exceed_rate,
         uniform_exceed_rate=(float(uniform_count / n_reps)
-                             if thresholds is not None else None))
+                             if config is not None else None))
 
 
 def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,

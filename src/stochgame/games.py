@@ -208,6 +208,22 @@ def transition_cdf(game: GameSpec) -> np.ndarray:
     return np.cumsum(game.transition, axis=3)
 
 
+def probability_rows(name: str, rows) -> np.ndarray:
+    """rows as float64, checked as probability vectors along the last axis:
+    every entry at least -PROB_TOL and every sum within PROB_TOL of 1."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if not (np.all(rows >= -PROB_TOL)
+            and np.all(np.abs(rows.sum(axis=-1) - 1.0) <= PROB_TOL)):
+        raise ValueError(f"{name} rows must be probability vectors")
+    return rows
+
+
+def stage_row(table, t: int):
+    """Row of stage t (1-based) of a table whose leading axis holds one row
+    per stage or a single stationary row; stages past the last row play it."""
+    return table[min(t, len(table)) - 1]
+
+
 def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw, the one sampling rule everywhere: per row, the
     smallest index a with u < cum_rows[..., a], clamped to the last index so
@@ -250,12 +266,11 @@ def load_game(path: str) -> GameSpec:
         raise GameValidationError(
             [f"{path}: payoff/transition tables are ragged or non-numeric: "
              f"{exc}"]) from exc
-    errors = validate_game(tuple(states), tuple(doc["actions1"]),
-                           tuple(doc["actions2"]), payoff, transition, initial)
-    if errors:
-        raise GameValidationError([f"{path}: {e}" for e in errors])
-    return GameSpec(tuple(states), tuple(doc["actions1"]),
-                    tuple(doc["actions2"]), payoff, transition, initial)
+    try:
+        return GameSpec(tuple(states), tuple(doc["actions1"]),
+                        tuple(doc["actions2"]), payoff, transition, initial)
+    except GameValidationError as exc:
+        raise GameValidationError([f"{path}: {e}" for e in exc.errors]) from None
 
 
 def save_game(game: GameSpec, path: str) -> None:

@@ -22,6 +22,7 @@ from stochgame.adversary import (BestResponseAdversary, MixedAdversary,
                                  PureClockedAdversary, best_response_public, big_match_indices,
                                  from_counter_strategy, markov_adversary,
                                  pure_column_adversary, stationary_adversary)
+from stochgame.games import stage_row
 
 from conftest import make_rng
 from reference import best_response_exact, move_law
@@ -111,7 +112,7 @@ def test_table_validation():
             memory_kernel=np.ones((1, 2, 2, 2, 3, 2)) / 2.0)
     tab = stationary_table(0.25)
     assert tab.stationary
-    np.testing.assert_array_equal(tab.action_at(999), tab.action[0])
+    np.testing.assert_array_equal(stage_row(tab.action, 999), tab.action[0])
 
 
 def test_table_round_trip(tmp_path):
@@ -238,6 +239,12 @@ def test_best_response_rejects_mismatched_table(bm):
         memory_kernel=np.ones((1, 1, 3, 2, 3, 1)))
     with pytest.raises(ValueError):
         best_response_public(bm, bad, 2)
+
+
+def test_from_counter_strategy_rejects_bad_cap(bm, config, cache):
+    for cap in (-1, config.last_level + 1):  # no kernel is built for either
+        with pytest.raises(ValueError, match=f"counter cap {cap} must lie"):
+            from_counter_strategy(bm, config, cache, cap, 10)
 
 
 def test_from_counter_strategy_layout(bm, config, cache, live):
@@ -405,6 +412,10 @@ def test_worthlessness_rejects_bad_input(bm, config, cache):
     with pytest.raises(ValueError):
         build_worthlessness_adversary(bm, tab, delta=0.1, horizon=5_000,
                                       tail_tol=1e-3)  # beyond the table
+    for tail_tol in (0.0, -1.0):  # tail < tail_tol could never hold
+        with pytest.raises(ValueError, match="tail_tol"):
+            build_worthlessness_adversary(bm, tab, delta=0.1, horizon=100,
+                                          tail_tol=tail_tol)
 
 
 def test_worthlessness_horizon_too_short(bm):

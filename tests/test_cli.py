@@ -81,6 +81,17 @@ def test_solve_bad_rate(capsys):
     assert "discount rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--lambda", "0.1", "--tol", "-1"], "tolerance must be >= 0"),
+    (["impossibility", "--sigma", "always-c", "--tail-tol", "-1",
+      "--horizon", "100"], "tail_tol must be positive"),
+])
+def test_negative_tolerance_exits_two(tmp_path, capsys, argv, message):
+    assert run_cli(argv, tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_iteration_cap_exits_numeric(tmp_path, capsys):
     path = tmp_path / "big_match_08.json"
     save_game(big_match_paying(0.8), str(path))
@@ -125,6 +136,26 @@ def test_workers_below_one_exit_two(tmp_path, capsys, command, extra):
     assert code == 2
     assert "--workers" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # rejected before any work
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--adversary", "best-response", "--br-cap", "-1"],
+     "counter cap -1"),
+    (["impossibility", "--wrap-counter-cap", "-1"], "counter cap -1"),
+    (["simulate", "--adversary", "best-response", "--br-cap", "40000"],
+     "counter cap 40000 must lie in [0, 31425]"),
+    (["impossibility", "--wrap-counter-cap", "40000"],
+     "counter cap 40000 must lie in [0, 31425]"),
+    (["validate-constants", "--depth", "40000"], "past level 31425"),
+])
+def test_counter_level_out_of_range_exits_two(tmp_path, capsys, monkeypatch,
+                                              argv, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a level before rejecting the input")
+    monkeypatch.setattr(stochgame.discounted, "solve_discounted", no_solve)
+    assert run_cli(argv, tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_infeasible_base(tmp_path, capsys):

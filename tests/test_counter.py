@@ -1,6 +1,7 @@
 """Counter strategy: configuration, drift identities, one-step optimality."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ def test_position_geometry(config):
         update_distribution(config, -1, 0.5, 0.5)
     with pytest.raises(ValueError):
         update_distribution(config, [2, -1], 0.5, 0.5)
+
+
+@pytest.mark.parametrize("base, last", [(100.0, 31425), (1.1e7, 30897)])
+def test_levels_stop_at_the_last_normal_rate(base, last):
+    config = make_config(0.2, base)
+    assert config.last_level == last
+    assert config.rate_at(last) >= sys.float_info.min
+    assert 0.0 < discount_rate(config.base * config.growth ** (last + 1)) \
+        < sys.float_info.min
+    for level in (last + 1, 40_000):  # subnormal rate; overflowing position
+        with pytest.raises(ValueError, match=f"past level {last}"):
+            config.rate_at(level)
 
 
 def test_update_distribution_hand_value(config):

@@ -140,6 +140,13 @@ def test_rejects_bad_rate(bm):
             solve_discounted(bm, lam)
 
 
+def test_rejects_negative_tolerance(bm, config):
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_discounted(bm, 0.1, tol=-1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        SolutionCache(bm, config, tol=-1e-12)
+
+
 def test_mdp_policy_enumeration_oracle():
     """With one row action the fixed point must match the pointwise-minimal
     stationary policy values computed by exact linear solves."""

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps library functions by name from outside the
 package; every name it wraps must still exist."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,13 +12,31 @@ import stochgame
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs():
+def source_env():
     env = dict(os.environ)
     src = str(Path(stochgame.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_tracer_installs():
     code = ("import sys; sys.path.insert(0, 'perfbench'); "
             "import tracer; tracer.install()")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=source_env(), capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_job_counts_adversary_components(tmp_path):
+    """The tracer patches each adversary class's own act; a traced
+    impossibility job must still run and see all 41 mixture components."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/job.py", "--workload", "impossibility",
+         "--seed", "1", "--trace", "--out", str(tmp_path)],
+        cwd=ROOT, env=source_env(), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["layers"]["adversary.components"] == 41
