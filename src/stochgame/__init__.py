@@ -11,7 +11,7 @@ from .discounted import (DiscountedSolution, SolutionCache,
                          solve_discounted)
 from .counter import (CounterConfig, FeasibilityError, make_config,
                       update_distribution, validate_constants)
-from .adversary import (MixedAdversary, PublicMemoryStrategyTable,
+from .adversary import (MixedClockedAdversary, PublicMemoryStrategyTable,
                         PureClockedAdversary, WorthlessnessError,
                         best_response_public, build_worthlessness_adversary,
                         from_counter_strategy, load_strategy_table,
@@ -32,8 +32,8 @@ __all__ = [
     "estimate_value_limit", "solve_discounted",
     "CounterConfig", "FeasibilityError", "make_config", "update_distribution",
     "validate_constants",
-    "MixedAdversary", "PublicMemoryStrategyTable", "PureClockedAdversary",
-    "WorthlessnessError", "best_response_public",
+    "MixedClockedAdversary", "PublicMemoryStrategyTable",
+    "PureClockedAdversary", "WorthlessnessError", "best_response_public",
     "build_worthlessness_adversary", "from_counter_strategy",
     "load_strategy_table", "save_strategy_table", "markov_adversary",
     "stationary_adversary",

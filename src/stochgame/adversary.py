@@ -293,34 +293,6 @@ class PureClockedAdversary:
     action one; everywhere else it plays action zero."""
 
     ones: frozenset[tuple[int, int]]
-    horizon: int
-    memory_states: int
-
-    def plays_one(self, t: int, m: int) -> bool:
-        return (t, m) in self.ones
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        table = np.zeros((self.horizon, self.memory_states), dtype=bool)
-        for t, m in self.ones:
-            table[t - 1, m] = True
-        table.flags.writeable = False
-        return table
-
-
-@dataclass(frozen=True)
-class MixedAdversary:
-    """Uniform mixture over pure clocked components (repeats allowed)."""
-
-    components: tuple[PureClockedAdversary, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("mixture must have at least one component")
-
-    @cached_property
-    def stacked_dense(self) -> np.ndarray:
-        return np.stack([c.dense for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -432,7 +404,7 @@ class WorthlessnessCertificate:
 
 @dataclass(frozen=True)
 class WorthlessnessResult:
-    mixture: MixedAdversary
+    mixture: MixedClockedAdversary
     certificate: WorthlessnessCertificate
 
 
@@ -480,7 +452,8 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     the enlarged set stays below delta/3 and the post-n_i absorb-at-zero
     tail is below tail_tol.  Components are collected until their number
     exceeds (M+1)/delta; once a step adds no pair, the remaining components
-    are copies of the last one.
+    equal the last one.  The one-sets are nested, so the mixture is stored
+    as the first component that plays one at each cell.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -500,21 +473,17 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     kc1 = kern[:, :, idx.continue_action, idx.col_one, idx.live, :]
     a_full = np.array([stage_row(a, t) for t in range(1, horizon + 1)])
 
-    ones = np.zeros((horizon, m_states), dtype=bool)
-    components: list[PureClockedAdversary] = []
+    first = np.full((horizon, m_states), n_components, dtype=np.int64)
     switch_stages: list[int] = []
     budgets: list[float] = []
     tails: list[float] = []
     stage_payoffs = np.zeros((n_components, horizon))
 
     for comp_index in range(n_components):
+        ones = first <= comp_index
         occupancy, _, absorb0, payoffs = _forward_pass(
             a, c, kc0, kc1, ones, horizon)
         stage_payoffs[comp_index] = payoffs
-        components.append(PureClockedAdversary(
-            ones=frozenset((int(t) + 1, int(m))
-                           for t, m in zip(*np.nonzero(ones))),
-            horizon=horizon, memory_states=m_states))
         budgets.append(float(a_full[ones].sum()))
         if comp_index == n_components - 1:
             break
@@ -540,17 +509,11 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
         tail0 = np.concatenate([np.cumsum(absorb0[::-1])[::-1][1:], [0.0]])
         feasible = np.flatnonzero(
             (base_budget + suffix_cost < delta / 3.0) & (tail0 < tail_tol))
-        if feasible.size == 0:
-            budget_ok = base_budget + suffix_cost[-1] < delta / 3.0
-            tail_ok = tail0[-1] < tail_tol
+        if feasible.size == 0:  # tail0[-1] is 0, so the budget binds
             raise WorthlessnessError(
-                f"horizon {horizon} too short for component "
-                f"{comp_index + 2}: binding constraint is "
-                f"{'absorb-action budget' if not budget_ok else ''}"
-                f"{' and ' if not budget_ok and not tail_ok else ''}"
-                f"{'truncation tail' if not tail_ok else ''}"
-                f" (budget {base_budget + suffix_cost[-1]:.6g} vs "
-                f"{delta / 3:.6g}, tail {tail0[-1]:.3e} vs {tail_tol:g})")
+                f"horizon {horizon} too short for component {comp_index + 2}"
+                f": binding constraint is absorb-action budget "
+                f"({base_budget + suffix_cost[-1]:.6g} vs {delta / 3:.6g})")
         n_i = int(feasible[0]) + 1
         switch_stages.append(n_i)
         tails.append(float(tail0[n_i - 1]))
@@ -558,13 +521,12 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
         if added.size == 0:
             # The one-set is final: every later step would repeat this one.
             rest = n_components - 1 - comp_index
-            components += [components[-1]] * rest
             budgets += [budgets[-1]] * rest
             stage_payoffs[comp_index + 1:] = payoffs
             switch_stages += [n_i] * (rest - 1)
             tails += [tails[-1]] * (rest - 1)
             break
-        ones[added, selection[added]] = True
+        first[added, selection[added]] = comp_index + 1
 
     component_avgs = tuple(float(x) for x in stage_payoffs.mean(axis=1))
     certificate = WorthlessnessCertificate(
@@ -574,38 +536,48 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
         component_avg_payoffs=component_avgs, stage_payoffs=stage_payoffs,
         mixture_avg_payoff=float(stage_payoffs.mean()))
     return WorthlessnessResult(
-        mixture=MixedAdversary(components=tuple(components)),
+        mixture=MixedClockedAdversary(first, n_components, idx),
         certificate=certificate)
 
 
-class MixedClockedAdversary:
-    """Engine adapter: draws one component per episode, then plays it.
+class MixedClockedAdversary(Adversary):
+    """Uniform mixture of n nested pure clocked components, played directly.
 
-    Consumes one uniform at episode start (the component draw); pure
-    components consume nothing further beyond the per-stage positional
-    draws shared by every adversary.
+    first[t-1, m] is the first component that plays column one at (t, m),
+    or n if none does; component c plays column one there iff
+    c >= first[t-1, m].  Memory levels past the map clamp to its last
+    column.  Consumes one uniform at episode start (the component draw).
     """
 
     init_draws = 1
 
-    def __init__(self, mixture: MixedAdversary, indices: BigMatchIndices):
-        self.mixture = mixture
+    def __init__(self, first, n_components: int, indices: BigMatchIndices):
+        self.first = np.asarray(first, dtype=np.int64)
+        self.n_components = n_components
         self.indices = indices
-        self._dense = mixture.stacked_dense
-        cols = np.zeros(2, dtype=np.int64)
-        cols[0] = indices.col_zero
-        cols[1] = indices.col_one
-        self._col_of = cols
 
     def prepare(self, horizon: int) -> None:
-        if horizon > self._dense.shape[1]:
+        if horizon > self.first.shape[0]:
             raise ValueError(f"horizon {horizon} exceeds the mixture's "
-                             f"table {self._dense.shape[1]}")
+                             f"table {self.first.shape[0]}")
 
     def start(self, u0):
-        return (u0 * len(self.mixture.components)).astype(np.int64)
+        return (u0 * self.n_components).astype(np.int64)
 
     def act(self, t, z, m, comp, u):
-        m_idx = np.minimum(m, self._dense.shape[2] - 1)
-        plays_one = self._dense[comp, t - 1, m_idx]
-        return self._col_of[plays_one.astype(np.int64)]
+        first = self.first[t - 1, np.minimum(m, self.first.shape[1] - 1)]
+        return np.where(comp >= first, self.indices.col_one,
+                        self.indices.col_zero)
+
+    @cached_property
+    def components(self) -> tuple[PureClockedAdversary, ...]:
+        """Each component's one-set as (t, m) cells; components with equal
+        sets share one object."""
+        n = self.n_components
+        comps: list[PureClockedAdversary] = []
+        comp = PureClockedAdversary(frozenset())
+        for c in np.unique(self.first[self.first < n]).tolist():
+            comps += [comp] * (c - len(comps))
+            comp = PureClockedAdversary(comp.ones | {
+                (int(t) + 1, int(m)) for t, m in np.argwhere(self.first == c)})
+        return tuple(comps + [comp] * (n - len(comps)))

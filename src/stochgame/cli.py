@@ -86,7 +86,9 @@ def _build_sigma(args, ngame, config, cache):
         return engine.StationaryStrategy(
             solve_discounted(ngame, args.lam).strategy1)
     if os.path.exists(kind):
-        return engine.TableStrategy(advmod.load_strategy_table(kind))
+        table = advmod.load_strategy_table(kind)
+        table.check_game(ngame.game)
+        return engine.TableStrategy(table)
     raise ValueError(f"unknown sigma '{kind}' (expected counter, "
                      f"stationary-lambda, or a table file path)")
 
@@ -202,11 +204,10 @@ def cmd_impossibility(args) -> int:
                                                   horizon, args.tail_tol)
     cert = result.certificate
 
-    tau = advmod.MixedClockedAdversary(result.mixture, indices)
     sigma = engine.TableStrategy(table)
-    stats = engine.monte_carlo(ngame, sigma, tau, horizon, args.replications,
-                               args.seed, checkpoints=(horizon,),
-                               workers=workers)
+    stats = engine.monte_carlo(ngame, sigma, result.mixture, horizon,
+                               args.replications, args.seed,
+                               checkpoints=(horizon,), workers=workers)
     sim_mean = stats.mean_avg_payoff[horizon]
     sim_se = stats.payoff_se[horizon]
     certified = sim_mean <= 3.0 * delta + 3.0 * sim_se

@@ -111,7 +111,11 @@ def make_config(epsilon: float, base: float) -> CounterConfig:
             f"base {base:g} infeasible for epsilon {epsilon:g}: requires "
             f"base * (growth-1)/growth >= 9/8, i.e. base >= {minimal:.6g}",
             minimal_base=minimal)
-    min_horizon = 72.0 / (epsilon ** 2 * discount_rate(base))
+    rate = discount_rate(base)
+    if not rate >= np.finfo(float).tiny:  # min_horizon divides by it
+        raise ValueError(f"base {base:g} has discount rate {rate:g}, not a "
+                         f"positive normal float")
+    min_horizon = 72.0 / (epsilon ** 2 * rate)
     return CounterConfig(epsilon=epsilon, growth=growth, base=base,
                          memory_slope=4.0 / math.log(growth),
                          min_horizon=min_horizon)

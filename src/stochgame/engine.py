@@ -33,6 +33,7 @@ from .games import (NormalizedGame, is_absorbing, probability_rows,
                     sample_rows, stage_row, transition_cdf)
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99, 1.0)
+CHUNK = 8192  # replications per chunk: the unit of work shared out to workers
 
 STATS_COLUMNS = ("n", "mean_avg_payoff", "payoff_se",
                  "max_memory_q50", "max_memory_q90", "max_memory_q99",
@@ -336,13 +337,12 @@ def _check_run(horizon: int, replications: int, base_seed: int) -> None:
 def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
                 replications: int, base_seed: int,
                 checkpoints: tuple[int, ...] | None = None,
-                workers: int = 1,
-                chunk_size: int | None = None) -> RunStatistics:
+                workers: int = 1) -> RunStatistics:
     """Simulate replications of (sigma, tau) and aggregate statistics.
 
-    Replication r draws from the Philox stream keyed (base_seed, r); chunk
-    partitioning is fixed by chunk_size alone, and partial results combine
-    in chunk order, so the output is identical for any worker count.
+    Replication r draws from the Philox stream keyed (base_seed, r); chunks
+    hold CHUNK replications each, and partial results combine in chunk
+    order, so the output is identical for any worker count.
     """
     _check_run(horizon, replications, base_seed)
     if workers < 1:
@@ -352,8 +352,6 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > horizon:
         raise ValueError(f"checkpoints must lie in [1, {horizon}]")
-    if chunk_size is None:
-        chunk_size = min(replications, 8192)
 
     sigma.prepare(horizon)
     tau.prepare(horizon)
@@ -361,8 +359,8 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     curve = None if config is None else config.min_horizon + (
         config.memory_slope * np.log(np.arange(1, horizon + 1.0)))
 
-    chunks = [(start, min(chunk_size, replications - start))
-              for start in range(0, replications, chunk_size)]
+    chunks = [(start, min(CHUNK, replications - start))
+              for start in range(0, replications, CHUNK)]
 
     def run(chunk):
         start, count = chunk

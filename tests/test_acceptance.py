@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from stochgame import cli, solve_discounted
-from stochgame.adversary import (BestResponseAdversary, MixedClockedAdversary,
+from stochgame.adversary import (BestResponseAdversary,
                                  PublicMemoryStrategyTable,
                                  best_response_public,
-                                 big_match_indices,
                                  build_worthlessness_adversary,
                                  from_counter_strategy, pure_column_adversary,
                                  stationary_adversary)
@@ -319,7 +318,6 @@ def test_criterion_09_worthlessness(bm, config, cache):
     mixture payoff is at most 3*delta + 3SE and certified stages never use
     more than M+1 selected cells."""
     t0 = time.perf_counter()
-    indices = big_match_indices(bm)
     delta, horizon, reps = 0.1, 10_000, 2_000
 
     always_c = PublicMemoryStrategyTable(
@@ -334,9 +332,8 @@ def test_criterion_09_worthlessness(bm, config, cache):
                                             tail_tol=1e-3)
         cert = res.certificate
         assert cert.max_exceed_count <= cert.memory_states + 1
-        tau = MixedClockedAdversary(res.mixture, indices)
-        stats = monte_carlo(bm, TableStrategy(table), tau, horizon, reps,
-                            409, checkpoints=(horizon,))
+        stats = monte_carlo(bm, TableStrategy(table), res.mixture, horizon,
+                            reps, 409, checkpoints=(horizon,))
         mean = stats.mean_avg_payoff[horizon]
         se = stats.payoff_se[horizon]
         assert mean <= 3 * delta + 3 * se, (name, mean)

@@ -16,10 +16,10 @@ from stochgame import adversary
 from stochgame import (GameSpec, WorthlessnessError, big_match,
                        build_worthlessness_adversary, load_strategy_table,
                        normalize_payoffs, save_strategy_table)
-from stochgame.adversary import (BestResponseAdversary, MixedAdversary,
+from stochgame.adversary import (BestResponseAdversary,
                                  MixedClockedAdversary,
                                  PublicMemoryStrategyTable,
-                                 PureClockedAdversary, best_response_public, big_match_indices,
+                                 best_response_public, big_match_indices,
                                  from_counter_strategy, markov_adversary,
                                  pure_column_adversary, stationary_adversary)
 from stochgame.games import stage_row
@@ -353,7 +353,7 @@ def test_worthlessness_stops_once_components_repeat(bm, monkeypatch):
     comps = res.mixture.components
     assert len(comps) == 41  # floor((1+1)/0.05) + 1
     assert len({c.ones for c in comps}) == 2
-    assert all(c.ones == comps[1].ones for c in comps[1:])
+    assert all(c is comps[1] for c in comps[1:])  # equal sets, one object
     assert len(cert.budgets) == 41 and len(set(cert.budgets[1:])) == 1
     assert cert.switch_stages == (1,) * 40
     assert len(cert.tails) == 40 and len(set(cert.tails)) == 1
@@ -440,28 +440,37 @@ def test_worthlessness_certificate_lines(bm):
 
 # ----------------------------------------------------- engine adapters
 
-def test_pure_clocked_dense():
-    adv = PureClockedAdversary(ones=frozenset({(1, 0), (3, 1)}), horizon=4,
-                               memory_states=2)
-    assert adv.plays_one(1, 0) and adv.plays_one(3, 1)
-    assert not adv.plays_one(2, 0)
-    dense = adv.dense
-    assert dense.shape == (4, 2)
-    assert dense[0, 0] and dense[2, 1] and not dense[1, 0]
+def test_mixed_clocked_act_matches_components(bm):
+    """Component c plays column one at (t, m) iff c >= first[t-1, m], which
+    is iff (t, m) is in its one-set: on a hand-made map and a real build."""
+    indices = big_match_indices(bm)
+    hand = MixedClockedAdversary(np.array([[0, 3], [2, 1], [3, 3]]), 3,
+                                 indices)
+    assert [c.ones for c in hand.components] == [
+        {(1, 0)}, {(1, 0), (2, 1)}, {(1, 0), (2, 1), (2, 0)}]
+    built = build_worthlessness_adversary(bm, stationary_table(0.0),
+                                          delta=0.05, horizon=2000,
+                                          tail_tol=1e-3).mixture
+    for mix in (hand, built):
+        horizon, m_states = mix.first.shape
+        comp, m = (a.ravel() for a in np.meshgrid(
+            np.arange(mix.n_components), np.arange(m_states), indexing="ij"))
+        ones = [mix.components[c].ones for c in comp]
+        for t in range(1, horizon + 1):
+            plays_one = mix.act(t, None, m, comp, None) == indices.col_one
+            assert plays_one.tolist() == [(t, x) in s for x, s in zip(m, ones)]
 
 
 def test_mixed_clocked_component_draws(bm):
     res = build_worthlessness_adversary(bm, stationary_table(0.0),
                                         delta=0.5, horizon=50, tail_tol=1e-3)
-    adv = MixedClockedAdversary(res.mixture, big_match_indices(bm))
-    n = len(res.mixture.components)
+    adv = res.mixture
+    n = len(adv.components)
     comp = adv.start(np.array([0.0, 0.999, 1.0 / n + 1e-9]))
     assert comp[0] == 0 and comp[1] == n - 1 and comp[2] == 1
     adv.prepare(50)
     with pytest.raises(ValueError):
         adv.prepare(51)
-    with pytest.raises(ValueError):
-        MixedAdversary(components=())
 
 
 def test_stationary_and_markov_adapters():

@@ -10,10 +10,12 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stochgame
-from stochgame import cli, save_game
+from stochgame import (PublicMemoryStrategyTable, cli, save_game,
+                       save_strategy_table)
 
 from conftest import big_match_paying
 
@@ -147,6 +149,7 @@ def test_workers_below_one_exit_two(tmp_path, capsys, command, extra):
     (["impossibility", "--wrap-counter-cap", "40000"],
      "counter cap 40000 must lie in [0, 31425]"),
     (["validate-constants", "--depth", "40000"], "past level 31425"),
+    (["simulate", "--base", "1e306"], "base 1e+306 has discount rate 0"),
 ])
 def test_counter_level_out_of_range_exits_two(tmp_path, capsys, monkeypatch,
                                               argv, message):
@@ -163,6 +166,20 @@ def test_simulate_infeasible_base(tmp_path, capsys):
                     "--replications", "2"], tmp_path)
     assert code == 4
     assert "51.75" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "trace"])
+def test_table_for_another_game_exits_two(tmp_path, capsys, command):
+    table = PublicMemoryStrategyTable(  # 3 row actions; the Big Match has 2
+        memory_states=1, horizon=None, action=np.full((1, 1, 3), 1 / 3),
+        memory_kernel=np.ones((1, 1, 3, 2, 3, 1)))
+    path = tmp_path / "table.json"
+    save_strategy_table(table, str(path))
+    code = run_cli([command, "--sigma", str(path), "--horizon", "10",
+                    "--replications", "1"], tmp_path / "out")
+    assert code == 2
+    assert "table dimensions do not match the game" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_stationary_needs_rate(tmp_path, capsys):

@@ -35,6 +35,10 @@ def test_config_validation():
             make_config(eps, 100.0)
     with pytest.raises(ValueError):
         make_config(0.2, 1.5)
+    # level 0 of a huge base has a discount rate of 0.0
+    with pytest.raises(ValueError, match=r"base 1e\+306 .* not a positive "
+                                         r"normal float"):
+        make_config(0.2, 1e306)
 
 
 def test_infeasible_base_names_the_threshold():

@@ -94,18 +94,17 @@ def test_monte_carlo_matches_single_episode(bm, counter_sigma, uniform_tau):
     assert stats.payoff_se[horizon] == 0.0  # one replication: no spread
 
 
-def test_worker_count_invariance(bm, counter_sigma, uniform_tau):
+def test_worker_count_invariance(bm, counter_sigma, uniform_tau, monkeypatch):
     base = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11)
     for workers in (2, 3, 5):
         other = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11,
                             workers=workers)
         assert other == base
 
-    # explicit chunking must also be worker-invariant
-    a = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11,
-                    chunk_size=17)
-    b = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11,
-                    chunk_size=17, workers=4)
+    # several chunks, shared out to workers, must also be worker-invariant
+    monkeypatch.setattr(engine, "CHUNK", 17)
+    a = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11)
+    b = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11, workers=4)
     assert a == b
 
 

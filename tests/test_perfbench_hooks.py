@@ -31,7 +31,8 @@ def test_tracer_installs():
 
 def test_traced_job_counts_adversary_components(tmp_path):
     """The tracer patches each adversary class's own act; a traced
-    impossibility job must still run and see all 41 mixture components."""
+    impossibility job must still run and see all 41 mixture components,
+    2 of them distinct, through the mixture's components view."""
     proc = subprocess.run(
         [sys.executable, "perfbench/job.py", "--workload", "impossibility",
          "--seed", "1", "--trace", "--out", str(tmp_path)],
@@ -39,4 +40,7 @@ def test_traced_job_counts_adversary_components(tmp_path):
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     result = json.loads((tmp_path / "result.json").read_text())
-    assert result["layers"]["adversary.components"] == 41
+    layers = result["layers"]
+    assert layers["adversary.components"] == 41
+    assert layers["adversary.distinct_components"] == 2
+    assert layers["adversary.stored_cells"] == 80000
