@@ -15,8 +15,7 @@ from .adversary import (MixedClockedAdversary, PublicMemoryStrategyTable,
                         PureClockedAdversary, WorthlessnessError,
                         best_response_public, build_worthlessness_adversary,
                         from_counter_strategy, load_strategy_table,
-                        markov_adversary, save_strategy_table,
-                        stationary_adversary)
+                        save_strategy_table, stationary_adversary)
 from .engine import (CounterStrategy, EpisodeTrace, MemoryBoundReport,
                      RunStatistics, StationaryStrategy, TableStrategy,
                      default_checkpoints, memory_bound_report, monte_carlo,
@@ -35,8 +34,7 @@ __all__ = [
     "MixedClockedAdversary", "PublicMemoryStrategyTable",
     "PureClockedAdversary", "WorthlessnessError", "best_response_public",
     "build_worthlessness_adversary", "from_counter_strategy",
-    "load_strategy_table", "save_strategy_table", "markov_adversary",
-    "stationary_adversary",
+    "load_strategy_table", "save_strategy_table", "stationary_adversary",
     "CounterStrategy", "EpisodeTrace", "MemoryBoundReport", "RunStatistics",
     "StationaryStrategy", "TableStrategy", "default_checkpoints",
     "memory_bound_report", "monte_carlo", "run_traces",

@@ -17,6 +17,7 @@ Three layers:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +26,9 @@ import numpy as np
 from .counter import update_distribution
 from .games import (PROB_TOL, GameSpec, NormalizedGame, probability_rows,
                     sample_rows, stage_row)
+
+MAX_TABLE_BYTES = 1 << 28  # largest dense kernel or best-response policy
+TAIL_TOL = 1e-3  # bound on the absorb-at-zero mass after each switch stage
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +121,12 @@ def load_strategy_table(path: str) -> PublicMemoryStrategyTable:
         action = action[None, :, :]
     if kernel.ndim == 5:
         kernel = kernel[None]
-    horizon = doc["horizon"]
+    for key, types in (("M", (int,)), ("horizon", (int, type(None)))):
+        if type(doc[key]) not in types:  # bool and 2.7 are not integers
+            raise ValueError(f"{path}: field '{key}' must be a JSON integer"
+                             f", got {json.dumps(doc[key])}")
     return PublicMemoryStrategyTable(
-        memory_states=int(doc["M"]),
-        horizon=None if horizon is None else int(horizon),
+        memory_states=doc["M"], horizon=doc["horizon"],
         action=action, memory_kernel=kernel)
 
 
@@ -140,6 +146,12 @@ def from_counter_strategy(ngame: NormalizedGame, config, cache, cap: int,
         raise ValueError(f"counter cap {cap} must lie in [0, {config.last_level}]"
                          f", the levels whose discount rate is normal")
     game = ngame.game
+    per_cell = game.payoff.nbytes  # one float64 per (z, i, j) and (m, m')
+    if (cap + 1) ** 2 * per_cell > MAX_TABLE_BYTES:
+        fits = math.isqrt(MAX_TABLE_BYTES // per_cell) - 1
+        raise ValueError(f"counter cap {cap} needs a {(cap + 1) ** 2 * per_cell:.3g}"
+                         f"-byte memory kernel, over the {MAX_TABLE_BYTES}-byte "
+                         f"limit; the largest cap that fits is {fits}")
     live = game.initial_state
     m = np.arange(cap + 1)
     sols = [cache.at(k) for k in m.tolist()]
@@ -187,6 +199,10 @@ def best_response_public(ngame: NormalizedGame,
     sigma.check_game(game)
     nz, nj = game.n_states, game.n_actions2
     m_states = sigma.memory_states
+    if horizon * nz * m_states > MAX_TABLE_BYTES:  # one int8 per (t, z, m)
+        raise ValueError(f"a {horizon}-stage best response needs a "
+                         f"{horizon * nz * m_states:.3g}-byte policy, over "
+                         f"the {MAX_TABLE_BYTES}-byte limit")
     policy = np.zeros((horizon, nz, m_states), dtype=np.int8)
     values = np.zeros((nz, m_states))
     for t in range(horizon, 0, -1):
@@ -253,10 +269,6 @@ class MarkovAdversary(Adversary):
 
     def act(self, t, z, m, comp, u):
         return sample_rows(stage_row(self.cum, t)[z], u)
-
-
-def markov_adversary(dist_table) -> MarkovAdversary:
-    return MarkovAdversary(dist_table)
 
 
 class BestResponseAdversary(Adversary):
@@ -342,23 +354,23 @@ class WorthlessnessError(RuntimeError):
 class WorthlessnessCertificate:
     """Everything the construction proves, stage by stage.
 
-    stage_payoffs[i, t-1] is the exact per-stage expected payoff r^i_t of
-    the strategy against component i+1; switch_stages holds the n_i of each
-    enlargement step (one fewer than the component count); budgets the
-    absorb-action mass sum over each component's one-set.  Certified stages
-    are those at or beyond t_delta = max n_i, where the count of components
-    with r^i_t >= delta may not exceed M+1.
+    Entries are per construction step; the components after the last
+    step repeat its one-set.  stage_payoffs[i, t-1] is the exact per-stage
+    expected payoff r^i_t of the strategy against component i+1; budgets
+    the absorb-action mass over each one-set; switch_stages and tails the
+    n_i and the absorb-at-zero tail after it of each enlargement step.
+    Certified stages are those at or beyond t_delta = max n_i, where the
+    count of components with r^i_t >= delta may not exceed M+1.
     """
 
     delta: float
     horizon: int
     memory_states: int
-    tail_tol: float
+    n_components: int
     switch_stages: tuple[int, ...]
     budgets: tuple[float, ...]
     tails: tuple[float, ...]
-    component_avg_payoffs: tuple[float, ...]
-    stage_payoffs: np.ndarray
+    stage_payoffs: np.ndarray  # (steps, T)
     mixture_avg_payoff: float
 
     @property
@@ -375,7 +387,8 @@ class WorthlessnessCertificate:
 
     @property
     def max_exceed_count(self) -> int:
-        """Most components still collecting >= delta at a certified stage."""
+        """Most components still collecting >= delta at a certified stage;
+        the last step's row is below delta there, so its repeats add none."""
         certified = self.stage_payoffs[:, self.t_delta - 1:]
         return int((certified >= self.delta).sum(axis=0).max())
 
@@ -383,14 +396,14 @@ class WorthlessnessCertificate:
         max_count = self.max_exceed_count
         max_tail = max(self.tails) if self.tails else 0.0
         return [
-            f"components: {self.stage_payoffs.shape[0]}  "
+            f"components: {self.n_components}  "
             f"(memory states {self.memory_states}, delta {self.delta:g})",
             f"t_delta (max switch stage): {self.t_delta}",
             f"max budget: {max(self.budgets):.6g} < delta/3 = "
             f"{self.delta / 3:.6g}: "
             f"{'PASS' if max(self.budgets) < self.delta / 3 else 'FAIL'}",
-            f"max truncation tail: {max_tail:.3e} < {self.tail_tol:g}: "
-            f"{'PASS' if max_tail < self.tail_tol else 'FAIL'}",
+            f"max truncation tail: {max_tail:.3e} < {TAIL_TOL:g}: "
+            f"{'PASS' if max_tail < TAIL_TOL else 'FAIL'}",
             f"certificate count: max {max_count} "
             f"<= M+1 = {self.memory_states + 1}: "
             f"{'PASS' if max_count <= self.memory_states + 1 else 'FAIL'}",
@@ -414,7 +427,7 @@ def _forward_pass(a, c, kc0, kc1, ones, horizon):
     a[t-1, m]/c[t-1, m]: absorb/continue action probabilities (a single
     row when stationary); kc0/kc1: memory kernels under continue and
     columns 0/1; ones: (T, M) bool, True where the adversary plays 1.
-    Returns (occupancy Q, per-stage absorb-at-one/zero masses, stage payoffs).
+    Returns (occupancy Q, per-stage absorb-at-zero masses, stage payoffs).
     """
     occupancy = np.zeros((horizon, a.shape[1]))
     occupancy[0, 0] = 1.0
@@ -434,13 +447,12 @@ def _forward_pass(a, c, kc0, kc1, ones, horizon):
                              stage_row(kc0, t + 1))
             occupancy[t + 1] = cont_mass @ k_eff
     payoffs = np.cumsum(absorb1) + live_pay
-    return occupancy, absorb1, absorb0, payoffs
+    return occupancy, absorb0, payoffs
 
 
 def build_worthlessness_adversary(ngame: NormalizedGame,
                                   sigma: PublicMemoryStrategyTable,
-                                  delta: float, horizon: int,
-                                  tail_tol: float) -> WorthlessnessResult:
+                                  delta: float, horizon: int) -> WorthlessnessResult:
     """Synthesize the uniform mixture that certifies worthlessness of a
     public-memory Big Match strategy.
 
@@ -450,15 +462,13 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     (t, m(t)) with the heaviest still-unused occupancy (guaranteed
     >= delta/(3M)); n_i is the least stage where the absorb-action budget of
     the enlarged set stays below delta/3 and the post-n_i absorb-at-zero
-    tail is below tail_tol.  Components are collected until their number
+    tail is below TAIL_TOL.  Components are collected until their number
     exceeds (M+1)/delta; once a step adds no pair, the remaining components
     equal the last one.  The one-sets are nested, so the mixture is stored
     as the first component that plays one at each cell.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not tail_tol > 0.0:  # the tail test tail < tail_tol could never pass
-        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     sigma.check_horizon(horizon)
     idx = big_match_indices(ngame)
     sigma.check_game(ngame.game)
@@ -477,13 +487,13 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     switch_stages: list[int] = []
     budgets: list[float] = []
     tails: list[float] = []
-    stage_payoffs = np.zeros((n_components, horizon))
+    stage_payoffs: list[np.ndarray] = []
 
     for comp_index in range(n_components):
         ones = first <= comp_index
-        occupancy, _, absorb0, payoffs = _forward_pass(
+        occupancy, absorb0, payoffs = _forward_pass(
             a, c, kc0, kc1, ones, horizon)
-        stage_payoffs[comp_index] = payoffs
+        stage_payoffs.append(payoffs)
         budgets.append(float(a_full[ones].sum()))
         if comp_index == n_components - 1:
             break
@@ -508,7 +518,7 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
         suffix_cost = np.cumsum(add_cost[::-1])[::-1]
         tail0 = np.concatenate([np.cumsum(absorb0[::-1])[::-1][1:], [0.0]])
         feasible = np.flatnonzero(
-            (base_budget + suffix_cost < delta / 3.0) & (tail0 < tail_tol))
+            (base_budget + suffix_cost < delta / 3.0) & (tail0 < TAIL_TOL))
         if feasible.size == 0:  # tail0[-1] is 0, so the budget binds
             raise WorthlessnessError(
                 f"horizon {horizon} too short for component {comp_index + 2}"
@@ -519,22 +529,16 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
         tails.append(float(tail0[n_i - 1]))
         added = sel_t[sel_t + 1 >= n_i]
         if added.size == 0:
-            # The one-set is final: every later step would repeat this one.
-            rest = n_components - 1 - comp_index
-            budgets += [budgets[-1]] * rest
-            stage_payoffs[comp_index + 1:] = payoffs
-            switch_stages += [n_i] * (rest - 1)
-            tails += [tails[-1]] * (rest - 1)
-            break
+            break  # the one-set is final: every later step would repeat it
         first[added, selection[added]] = comp_index + 1
 
-    component_avgs = tuple(float(x) for x in stage_payoffs.mean(axis=1))
+    rows = np.array(stage_payoffs)
+    total = rows.sum() + (n_components - len(rows)) * rows[-1].sum()
     certificate = WorthlessnessCertificate(
         delta=delta, horizon=horizon, memory_states=m_states,
-        tail_tol=tail_tol, switch_stages=tuple(switch_stages),
-        budgets=tuple(budgets), tails=tuple(tails),
-        component_avg_payoffs=component_avgs, stage_payoffs=stage_payoffs,
-        mixture_avg_payoff=float(stage_payoffs.mean()))
+        n_components=n_components, switch_stages=tuple(switch_stages),
+        budgets=tuple(budgets), tails=tuple(tails), stage_payoffs=rows,
+        mixture_avg_payoff=float(total / (n_components * horizon)))
     return WorthlessnessResult(
         mixture=MixedClockedAdversary(first, n_components, idx),
         certificate=certificate)

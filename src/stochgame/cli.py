@@ -28,7 +28,7 @@ from .games import big_match, load_game, normalize_payoffs
 from .matrix import MatrixSolveError
 
 OUT_DIR_ENV = "STOCHGAME_OUT_DIR"
-BR_HORIZON_CAP = 100_000  # --br-horizon defaults to min(--horizon, this)
+BR_HORIZON_CAP = 100_000  # best responses are built for min(--horizon, this)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,8 +66,7 @@ def _build_adversary(args, ngame, config, cache):
     if name == "uniform":
         return advmod.stationary_adversary(np.full((nz, nj), 1.0 / nj))
     if name == "best-response":
-        build_horizon = (args.br_horizon if args.br_horizon is not None
-                         else min(args.horizon, BR_HORIZON_CAP))
+        build_horizon = min(args.horizon, BR_HORIZON_CAP)
         table = advmod.from_counter_strategy(ngame, config, cache,
                                              args.br_cap, build_horizon)
         br = advmod.best_response_public(ngame, table, build_horizon)
@@ -200,8 +199,7 @@ def cmd_impossibility(args) -> int:
         table = advmod.from_counter_strategy(ngame, config, cache,
                                              args.wrap_counter_cap, horizon)
 
-    result = advmod.build_worthlessness_adversary(ngame, table, delta,
-                                                  horizon, args.tail_tol)
+    result = advmod.build_worthlessness_adversary(ngame, table, delta, horizon)
     cert = result.certificate
 
     sigma = engine.TableStrategy(table)
@@ -302,10 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--adversary", default="uniform",
                        help="always-0, always-1, uniform, or best-response")
         p.add_argument("--br-cap", type=int, default=40,
-                       help="counter cap for the best-response table")
-        p.add_argument("--br-horizon", type=int,
-                       help=f"build horizon for the best-response policy "
-                            f"(default min(--horizon, {BR_HORIZON_CAP}))")
+                       help=f"counter cap for the best-response table, built "
+                            f"for min(--horizon, {BR_HORIZON_CAP}) stages")
 
     def run(p, horizon, replications, workers=True):
         p.add_argument("--horizon", type=int, default=horizon)
@@ -346,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of --sigma")
     counter(p)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--tail-tol", type=float, default=1e-3)
     run(p, horizon=10_000, replications=2000)
 
     p = command("trace", cmd_trace, "write full episode traces")

@@ -121,7 +121,8 @@ def validate_game(states, actions1, actions2, payoff, transition,
                 errors.append(
                     f"transition row [{z}][{i}][{j}] sums to "
                     f"{sums[z, i, j]:.12g}, expected 1")
-    if not isinstance(initial_state, (int, np.integer)):
+    if (isinstance(initial_state, bool)
+            or not isinstance(initial_state, (int, np.integer))):
         errors.append(f"initial_state must be an integer index, "
                       f"got {initial_state!r}")
     elif not 0 <= initial_state < max(nz, 1):

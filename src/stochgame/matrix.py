@@ -2,13 +2,14 @@
 
 Primal simplex with Bland's anti-cycling rule on the column player's program
 max 1'w  s.t.  M'w <= 1, w >= 0, from the feasible slack basis (no phase-1);
-the row player's mixture is read off the duals.  One constant shifts the
-payoffs so that the largest row minimum is 1, which bounds the program
+the row player's mixture is read off the duals.  One exact rational shifts
+the payoffs so that the largest row minimum is 1, which bounds the program
 (value >= 1) although entries may stay negative.  Floats are dyadic
 rationals, so the tableau scales to integers, and fraction-free pivoting
 (Edmonds 1967) keeps it integral: no step depends on round-off, however
 widely the magnitudes spread.  Pure saddle points, common at absorbing
-states, skip the tableau.
+states, go through the same tableau; where several pure strategies are
+optimal, the pivot order picks one.
 """
 
 from __future__ import annotations
@@ -30,22 +31,6 @@ class MatrixSolution:
     col_strategy: np.ndarray
 
 
-def _pure_saddle(m: np.ndarray) -> MatrixSolution | None:
-    row_mins = m.min(axis=1)
-    col_maxs = m.max(axis=0)
-    v_low = row_mins.max()
-    v_high = col_maxs.min()
-    if v_low != v_high:
-        return None
-    i_star = int(row_mins.argmax())
-    j_star = int(col_maxs.argmin())
-    x = np.zeros(m.shape[0])
-    y = np.zeros(m.shape[1])
-    x[i_star] = 1.0
-    y[j_star] = 1.0
-    return MatrixSolution(float(v_low), x, y)
-
-
 def solve_matrix_game(matrix) -> MatrixSolution:
     """Solve the zero-sum game with the given payoff matrix (row maximizes).
 
@@ -60,16 +45,13 @@ def solve_matrix_game(matrix) -> MatrixSolution:
                          f"got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("payoff matrix contains non-finite entries")
-    saddle = _pure_saddle(m)
-    if saddle is not None:
-        return saddle
 
     n_rows, n_cols = m.shape
-    shift = 1.0 - m.min(axis=1).max()
-    # Constraint rows times a common power of two become integers, slack
-    # columns stay the identity (first basis determinant 1), shift exact.
+    shift = 1 - Fraction(m.min(axis=1).max())  # exact: a float 1 - x drops
+    # the 1 once |x| >= 2**53.  Constraint rows times a common power of two
+    # become integers, slack columns stay the identity (first basis det 1).
     ratios = [[v.as_integer_ratio() for v in row] for row in m.tolist()]
-    s_num, s_den = shift.as_integer_ratio()
+    s_num, s_den = shift.numerator, shift.denominator
     scale = max(max(d for row in ratios for _, d in row), s_den)
     tab = [[n * (scale // d) + s_num * (scale // s_den) for n, d in row]
            + [int(i == r) for i in range(n_rows)] + [scale]
@@ -104,7 +86,7 @@ def solve_matrix_game(matrix) -> MatrixSolution:
         if b < n_cols:
             w[b] = tab[i][-1]
     u = cost[n_cols:n_cols + n_rows]  # duals from the slack columns
-    value = Fraction(det, cost[-1]) - Fraction(shift)  # 1 / sum(w) - shift
+    value = Fraction(det, cost[-1]) - shift  # 1 / sum(w) - shift
     x = np.array([q / sum(u) for q in u])
     y = np.array([q / sum(w) for q in w])
     return MatrixSolution(float(value), x, y)

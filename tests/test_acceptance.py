@@ -328,8 +328,7 @@ def test_criterion_09_worthlessness(bm, config, cache):
     details = []
     for name, table in (("always-continue", always_c),
                         ("capped-counter-8", capped)):
-        res = build_worthlessness_adversary(bm, table, delta, horizon,
-                                            tail_tol=1e-3)
+        res = build_worthlessness_adversary(bm, table, delta, horizon)
         cert = res.certificate
         assert cert.max_exceed_count <= cert.memory_states + 1
         stats = monte_carlo(bm, TableStrategy(table), res.mixture, horizon,

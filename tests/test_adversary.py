@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 
 from stochgame import adversary
-from stochgame import (GameSpec, WorthlessnessError, big_match,
-                       build_worthlessness_adversary, load_strategy_table,
-                       normalize_payoffs, save_strategy_table)
-from stochgame.adversary import (BestResponseAdversary,
+from stochgame import (GameSpec, SolutionCache, WorthlessnessError,
+                       big_match, build_worthlessness_adversary,
+                       load_strategy_table, normalize_payoffs,
+                       save_strategy_table)
+from stochgame.adversary import (BestResponseAdversary, MarkovAdversary,
                                  MixedClockedAdversary,
                                  PublicMemoryStrategyTable,
                                  best_response_public, big_match_indices,
-                                 from_counter_strategy, markov_adversary,
-                                 pure_column_adversary, stationary_adversary)
+                                 from_counter_strategy, pure_column_adversary,
+                                 stationary_adversary)
 from stochgame.games import stage_row
 
 from conftest import make_rng
@@ -147,6 +148,20 @@ def test_table_load_rejects_bad_rows(tmp_path):
         load_strategy_table(str(path))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("horizon", 2.7), ("horizon", True), ("horizon", "2"), ("M", True),
+    ("M", 1.0), ("M", None)])
+def test_table_load_requires_integer_sizes(tmp_path, key, value):
+    path = tmp_path / "table.json"
+    save_strategy_table(stationary_table(0.25), str(path))
+    doc = json.loads(path.read_text())
+    doc[key] = value  # never truncated or read as 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"field '{key}' must be a JSON "
+                                         f"integer, got {json.dumps(value)}"):
+        load_strategy_table(str(path))
+
+
 # ------------------------------------------------------- best responses
 
 def test_horizon_one_closed_form(bm, live):
@@ -241,10 +256,21 @@ def test_best_response_rejects_mismatched_table(bm):
         best_response_public(bm, bad, 2)
 
 
+def test_best_response_rejects_oversized_policy(bm):
+    # 2^27 stages x 3 states x 1 memory state of int8 exceed 2^28 bytes
+    with pytest.raises(ValueError, match="4.03e\\+08-byte policy"):
+        best_response_public(bm, stationary_table(0.5), 1 << 27)
+
+
 def test_from_counter_strategy_rejects_bad_cap(bm, config, cache):
     for cap in (-1, config.last_level + 1):  # no kernel is built for either
         with pytest.raises(ValueError, match=f"counter cap {cap} must lie"):
             from_counter_strategy(bm, config, cache, cap, 10)
+    # 1672^2 cells of 12 float64 exceed the 2^28-byte kernel limit
+    fresh = SolutionCache(bm, config)
+    with pytest.raises(ValueError, match="largest cap that fits is 1671"):
+        from_counter_strategy(bm, config, fresh, 1671 + 1, 10)
+    assert len(fresh) == 0  # rejected before any level was solved
 
 
 def test_from_counter_strategy_layout(bm, config, cache, live):
@@ -322,51 +348,49 @@ def test_big_match_indices_rejects_other_games():
 
 def test_worthlessness_always_continue(bm):
     res = build_worthlessness_adversary(bm, stationary_table(0.0),
-                                        delta=0.1, horizon=10_000,
-                                        tail_tol=1e-3)
+                                        delta=0.1, horizon=10_000)
     cert = res.certificate
     # M = 1 memory cell: floor((1+1)/0.1) + 1 = 21 components
-    assert len(res.mixture.components) == 21
-    assert len(cert.budgets) == 21
-    assert cert.switch_stages == (1,) * 20  # hot from the very first stage
+    assert len(res.mixture.components) == cert.n_components == 21
+    # hot from the very first stage; the second step adds no cell
+    assert len(cert.budgets) == 2
+    assert cert.switch_stages == (1, 1)
     assert cert.mixture_avg_payoff == pytest.approx(1.0 / 21.0, rel=1e-12)
     # only the all-zeros component pays; every enlarged one starves
-    assert cert.component_avg_payoffs[0] == pytest.approx(1.0)
-    assert max(cert.component_avg_payoffs[1:]) == pytest.approx(0.0)
+    component_avgs = cert.stage_payoffs.mean(axis=1)
+    assert component_avgs[0] == pytest.approx(1.0)
+    assert max(component_avgs[1:]) == pytest.approx(0.0)
     assert cert.witness_value == pytest.approx(0.0, abs=1e-12)
     assert cert.max_exceed_count <= 2  # memory cells + 1
     assert all(b < 0.1 / 3.0 for b in cert.budgets)
 
 
 def test_worthlessness_stops_once_components_repeat(bm, monkeypatch):
-    """Once an enlargement step adds no cell, the rest of the mixture is
-    copied rather than recomputed by further forward passes."""
+    """Once an enlargement step adds no cell, the rest of the mixture
+    repeats it: no further forward pass, and no certificate entry."""
     calls = []
     forward = adversary._forward_pass
     monkeypatch.setattr(adversary, "_forward_pass",
                         lambda *a: calls.append(1) or forward(*a))
     res = build_worthlessness_adversary(bm, stationary_table(0.0),
-                                        delta=0.05, horizon=2000,
-                                        tail_tol=1e-3)
+                                        delta=0.05, horizon=2000)
     cert = res.certificate
     assert len(calls) <= 3
     comps = res.mixture.components
     assert len(comps) == 41  # floor((1+1)/0.05) + 1
     assert len({c.ones for c in comps}) == 2
     assert all(c is comps[1] for c in comps[1:])  # equal sets, one object
-    assert len(cert.budgets) == 41 and len(set(cert.budgets[1:])) == 1
-    assert cert.switch_stages == (1,) * 40
-    assert len(cert.tails) == 40 and len(set(cert.tails)) == 1
-    np.testing.assert_array_equal(cert.stage_payoffs[2:],
-                                  np.broadcast_to(cert.stage_payoffs[1],
-                                                  (39, 2000)))
+    assert cert.n_components == 41
+    assert cert.stage_payoffs.shape == (2, 2000)
+    assert len(cert.budgets) == 2
+    assert cert.switch_stages == (1, 1)
+    assert len(cert.tails) == 2
     assert cert.mixture_avg_payoff == pytest.approx(1.0 / 41.0, rel=1e-12)
 
 
 def test_worthlessness_half_absorbing(bm):
     res = build_worthlessness_adversary(bm, stationary_table(0.5),
-                                        delta=0.1, horizon=10_000,
-                                        tail_tol=1e-3)
+                                        delta=0.1, horizon=10_000)
     cert = res.certificate
     # running average drops below delta after stage 3; the absorb tail
     # (1/2)^n crosses 1e-3 at n = 10
@@ -378,11 +402,12 @@ def test_worthlessness_half_absorbing(bm):
 
 def test_worthlessness_capped_counter(bm, config, cache):
     tab = from_counter_strategy(bm, config, cache, 8, 10_000)
-    res = build_worthlessness_adversary(bm, tab, delta=0.1, horizon=10_000,
-                                        tail_tol=1e-3)
+    res = build_worthlessness_adversary(bm, tab, delta=0.1, horizon=10_000)
     cert = res.certificate
     assert cert.memory_states == 9
-    assert len(cert.budgets) == 101  # floor((9+1)/0.1) + 1
+    assert cert.n_components == 101  # floor((9+1)/0.1) + 1
+    # the first step adds no cell: all 101 components play column zero
+    assert len(cert.budgets) == 1 and cert.switch_stages == (9896,)
     assert cert.mixture_avg_payoff == pytest.approx(0.26510404604038046,
                                                     rel=1e-12)
     assert cert.mixture_avg_payoff <= 3 * 0.1
@@ -393,13 +418,12 @@ def test_worthlessness_capped_counter(bm, config, cache):
     assert cert.max_exceed_count <= 10
     assert all(b < 0.1 / 3.0 for b in cert.budgets)
     assert all(t < 1e-3 for t in cert.tails)
-    assert cert.stage_payoffs.shape == (101, 10_000)
+    assert cert.stage_payoffs.shape == (1, 10_000)
 
 
 def test_worthlessness_degenerate_delta(bm):
     res = build_worthlessness_adversary(bm, stationary_table(0.0),
-                                        delta=1.0, horizon=100,
-                                        tail_tol=1e-3)
+                                        delta=1.0, horizon=100)
     assert len(res.mixture.components) == 1
     assert res.certificate.switch_stages == ()
 
@@ -407,15 +431,10 @@ def test_worthlessness_degenerate_delta(bm):
 def test_worthlessness_rejects_bad_input(bm, config, cache):
     tab = from_counter_strategy(bm, config, cache, 8, 2_000)
     with pytest.raises(ValueError):
-        build_worthlessness_adversary(bm, tab, delta=0.0, horizon=100,
-                                      tail_tol=1e-3)
+        build_worthlessness_adversary(bm, tab, delta=0.0, horizon=100)
     with pytest.raises(ValueError):
-        build_worthlessness_adversary(bm, tab, delta=0.1, horizon=5_000,
-                                      tail_tol=1e-3)  # beyond the table
-    for tail_tol in (0.0, -1.0):  # tail < tail_tol could never hold
-        with pytest.raises(ValueError, match="tail_tol"):
-            build_worthlessness_adversary(bm, tab, delta=0.1, horizon=100,
-                                          tail_tol=tail_tol)
+        # beyond the table's horizon
+        build_worthlessness_adversary(bm, tab, delta=0.1, horizon=5_000)
 
 
 def test_worthlessness_horizon_too_short(bm):
@@ -424,18 +443,25 @@ def test_worthlessness_horizon_too_short(bm):
     # can never clear and the builder names the binding constraint
     with pytest.raises(WorthlessnessError) as exc:
         build_worthlessness_adversary(bm, stationary_table(0.05), delta=0.1,
-                                      horizon=4, tail_tol=1e-3)
+                                      horizon=4)
     assert "absorb-action budget" in str(exc.value)
     assert "too short" in str(exc.value)
 
 
 def test_worthlessness_certificate_lines(bm):
     res = build_worthlessness_adversary(bm, stationary_table(0.0),
-                                        delta=0.1, horizon=1_000,
-                                        tail_tol=1e-3)
-    text = "\n".join(res.certificate.lines())
-    assert "components" in text
-    assert "mixture" in text
+                                        delta=0.05, horizon=2000)
+    assert res.certificate.lines() == [
+        "components: 41  (memory states 1, delta 0.05)",
+        "t_delta (max switch stage): 1",
+        "max budget: 0 < delta/3 = 0.0166667: PASS",
+        "max truncation tail: 0.000e+00 < 0.001: PASS",
+        "certificate count: max 1 <= M+1 = 2: PASS",
+        "exact mixture average payoff at horizon: 0.0243902 "
+        "(target < 3*delta = 0.15)",
+        "eventual-payoff witness (best component, late window): 0 "
+        "(target <= delta = 0.05)",
+    ]
 
 
 # ----------------------------------------------------- engine adapters
@@ -449,8 +475,7 @@ def test_mixed_clocked_act_matches_components(bm):
     assert [c.ones for c in hand.components] == [
         {(1, 0)}, {(1, 0), (2, 1)}, {(1, 0), (2, 1), (2, 0)}]
     built = build_worthlessness_adversary(bm, stationary_table(0.0),
-                                          delta=0.05, horizon=2000,
-                                          tail_tol=1e-3).mixture
+                                          delta=0.05, horizon=2000).mixture
     for mix in (hand, built):
         horizon, m_states = mix.first.shape
         comp, m = (a.ravel() for a in np.meshgrid(
@@ -463,7 +488,7 @@ def test_mixed_clocked_act_matches_components(bm):
 
 def test_mixed_clocked_component_draws(bm):
     res = build_worthlessness_adversary(bm, stationary_table(0.0),
-                                        delta=0.5, horizon=50, tail_tol=1e-3)
+                                        delta=0.5, horizon=50)
     adv = res.mixture
     n = len(adv.components)
     comp = adv.start(np.array([0.0, 0.999, 1.0 / n + 1e-9]))
@@ -488,7 +513,7 @@ def test_stationary_and_markov_adapters():
     table = np.zeros((4, 3, 2))
     table[0::2, :, 0] = 1.0  # stages 1 and 3 play column zero
     table[1::2, :, 1] = 1.0
-    mk = markov_adversary(table)
+    mk = MarkovAdversary(table)
     z = np.array([0])
     u = np.array([0.5])
     assert mk.act(1, z, None, None, u)[0] == 0

@@ -85,8 +85,6 @@ def test_solve_bad_rate(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--lambda", "0.1", "--tol", "-1"], "tolerance must be >= 0"),
-    (["impossibility", "--sigma", "always-c", "--tail-tol", "-1",
-      "--horizon", "100"], "tail_tol must be positive"),
 ])
 def test_negative_tolerance_exits_two(tmp_path, capsys, argv, message):
     assert run_cli(argv, tmp_path) == 2
@@ -150,6 +148,10 @@ def test_workers_below_one_exit_two(tmp_path, capsys, command, extra):
      "counter cap 40000 must lie in [0, 31425]"),
     (["validate-constants", "--depth", "40000"], "past level 31425"),
     (["simulate", "--base", "1e306"], "base 1e+306 has discount rate 0"),
+    (["simulate", "--adversary", "best-response", "--br-cap", "31425"],
+     "largest cap that fits is 1671"),
+    (["impossibility", "--wrap-counter-cap", "31425"],
+     "counter cap 31425 needs a 9.48e+10-byte memory kernel"),
 ])
 def test_counter_level_out_of_range_exits_two(tmp_path, capsys, monkeypatch,
                                               argv, message):
@@ -179,6 +181,23 @@ def test_table_for_another_game_exits_two(tmp_path, capsys, command):
                     "--replications", "1"], tmp_path / "out")
     assert code == 2
     assert "table dimensions do not match the game" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_table_with_fractional_horizon_exits_two(tmp_path, capsys):
+    table = PublicMemoryStrategyTable(
+        memory_states=1, horizon=None, action=np.full((1, 1, 2), 0.5),
+        memory_kernel=np.ones((1, 1, 2, 2, 3, 1)))
+    path = tmp_path / "table.json"
+    save_strategy_table(table, str(path))
+    doc = json.loads(path.read_text())
+    doc["horizon"] = 2.7
+    path.write_text(json.dumps(doc))
+    code = run_cli(["simulate", "--sigma", str(path), "--horizon", "2",
+                    "--replications", "1"], tmp_path / "out")
+    assert code == 2
+    assert "field 'horizon' must be a JSON integer, got 2.7" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

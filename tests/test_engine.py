@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochgame import solve_discounted
-from stochgame.adversary import (markov_adversary, pure_column_adversary,
+from stochgame.adversary import (MarkovAdversary, pure_column_adversary,
                                  stationary_adversary)
 from stochgame import engine
 from stochgame.engine import (CounterStrategy, StationaryStrategy,
@@ -236,7 +236,7 @@ def test_table_strategy_equals_stationary(bm, uniform_tau):
 def test_markov_constant_table_equals_stationary(bm, counter_sigma):
     dist = np.full((3, 2), 0.5)
     tau_s = stationary_adversary(dist)
-    tau_m = markov_adversary(np.tile(dist, (6, 1, 1)))
+    tau_m = MarkovAdversary(np.tile(dist, (6, 1, 1)))
     a, = run_traces(bm, counter_sigma, tau_s, 100, 1, 41)
     b, = run_traces(bm, counter_sigma, tau_m, 100, 1, 41)
     np.testing.assert_array_equal(a.stage_action2, b.stage_action2)
@@ -247,7 +247,7 @@ def test_alternating_adversary_by_stage_parity(bm, live):
     table = np.zeros((4, 3, 2))
     table[0::2, :, 0] = 1.0
     table[1::2, :, 1] = 1.0
-    tau = markov_adversary(table)
+    tau = MarkovAdversary(table)
     sigma = StationaryStrategy(np.array([[0.0, 1.0]] * 3))  # stay live
     tr, = run_traces(bm, sigma, tau, 8, 1, 1)
     assert tr.stage_action2.tolist() == [0, 1, 0, 1, 1, 1, 1, 1]

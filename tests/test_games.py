@@ -159,6 +159,18 @@ def test_load_missing_field(tmp_path, bm_game):
     assert "transition" in str(exc.value)
 
 
+def test_load_rejects_boolean_initial_state(tmp_path, bm_game):
+    path = tmp_path / "bool_initial.json"
+    save_game(bm_game, str(path))
+    import json
+    doc = json.loads(path.read_text())
+    doc["initial_state"] = True  # a bool is not state index 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GameValidationError, match="initial_state must be an "
+                                                  "integer index, got True"):
+        load_game(str(path))
+
+
 def test_sample_index_rule():
     cdf = np.array([0.2, 0.5, 1.0])
     u = np.array([0.0, 0.19999, 0.2, 0.49, 0.5, 0.999999])

@@ -128,6 +128,23 @@ def test_widely_spread_entries():
     assert 8e-11 < x0 < 9e-11
 
 
+def test_saddle_beyond_float_shift():
+    """Row minima of 2**53 and more: the shift to a row minimum of 1 must
+    not round away, or the program is unbounded."""
+    for m, value, x, y in (
+            ([[5e16]], 5e16, [1.0], [1.0]),
+            ([[-5e16]], -5e16, [1.0], [1.0]),
+            ([[-5e16], [-6e16]], -5e16, [1.0, 0.0], [1.0]),
+            ([[5e16, 6e16], [4e16, 7e16]], 5e16, [1.0, 0.0], [1.0, 0.0])):
+        sol = solve_matrix_game(m)
+        assert sol.value == value
+        np.testing.assert_array_equal(sol.row_strategy, x)
+        np.testing.assert_array_equal(sol.col_strategy, y)
+    sol = solve_matrix_game([[1e17, -1e17], [-1e17, 1e17]])
+    assert sol.value == 0.0
+    np.testing.assert_array_equal(sol.row_strategy, [0.5, 0.5])
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         solve_matrix_game([[np.nan, 0.0], [0.0, 1.0]])
