@@ -27,7 +27,7 @@ from .counter import update_distribution
 from .games import (PROB_TOL, GameSpec, NormalizedGame, probability_rows,
                     sample_rows, stage_row)
 
-MAX_TABLE_BYTES = 1 << 28  # largest dense kernel or best-response policy
+MAX_TABLE_BYTES = 1 << 28  # largest dense kernel, policy, map or trace
 TAIL_TOL = 1e-3  # bound on the absorb-at-zero mass after each switch stage
 
 
@@ -465,7 +465,8 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     tail is below TAIL_TOL.  Components are collected until their number
     exceeds (M+1)/delta; once a step adds no pair, the remaining components
     equal the last one.  The one-sets are nested, so the mixture is stored
-    as the first component that plays one at each cell.
+    as the first component that plays one at each cell, a (T, M) int64 map
+    of at most MAX_TABLE_BYTES.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -473,6 +474,12 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     idx = big_match_indices(ngame)
     sigma.check_game(ngame.game)
     m_states = sigma.memory_states
+    need = 8 * horizon * m_states  # int64 map; occupancy and a_full match it
+    if need > MAX_TABLE_BYTES:
+        raise ValueError(f"horizon {horizon} needs a {need:.3g}-byte mixture "
+                         f"map, over the {MAX_TABLE_BYTES}-byte limit; the "
+                         f"largest horizon that fits is "
+                         f"{MAX_TABLE_BYTES // (8 * m_states)}")
     n_components = (1 if delta >= 1.0
                     else int(np.floor((m_states + 1) / delta)) + 1)
 
@@ -481,7 +488,7 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     kern = sigma.memory_kernel
     kc0 = kern[:, :, idx.continue_action, idx.col_zero, idx.live, :]
     kc1 = kern[:, :, idx.continue_action, idx.col_one, idx.live, :]
-    a_full = np.array([stage_row(a, t) for t in range(1, horizon + 1)])
+    a_full = a[np.minimum(np.arange(horizon), len(a) - 1)]  # stage_row per t
 
     first = np.full((horizon, m_states), n_components, dtype=np.int64)
     switch_stages: list[int] = []

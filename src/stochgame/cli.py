@@ -3,7 +3,9 @@
 Single binary with subcommands (solve, simulate, validate-constants,
 impossibility, trace).  Every command is a pure function of (config file,
 flags, seed) to output files; flags override config-file values; floating
-CSV output uses 17 significant digits so reruns are diffable.
+CSV output uses 17 significant digits so reruns are diffable.  solve,
+simulate and trace report payoffs in the game's own units; impossibility
+works in the normalized [0, 1] units in which delta is defined.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric failure (round cap),
 4 construction infeasible.
@@ -12,6 +14,8 @@ Exit codes: 0 ok, 2 configuration error, 3 numeric failure (round cap),
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import os
 import sys
@@ -24,6 +28,7 @@ from .counter import FeasibilityError, make_config, validate_constants
 from .discounted import (DEFAULT_TOL, MAX_ROUNDS, SolutionCache,
                          SolverIterationError, estimate_value_limit,
                          solve_discounted)
+from .engine import fmt
 from .games import big_match, load_game, normalize_payoffs
 from .matrix import MatrixSolveError
 
@@ -34,10 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _load_game_arg(source: str):
@@ -115,22 +116,24 @@ def cmd_solve(args) -> int:
                                max_iter=args.max_iterations)
         values = ngame.denormalize(sol.values)
         for z, name in enumerate(game.states):
-            print(f"state {name}: value {_fmt(float(values[z]))}")
+            print(f"state {name}: value {fmt(float(values[z]))}")
             rows.append((name, args.lam, float(values[z])))
-        print(f"iterations {sol.iterations}, residual {_fmt(sol.residual)}")
+        print(f"iterations {sol.iterations}, residual {fmt(sol.residual)}")
     else:
-        est = estimate_value_limit(ngame, args.schedule, tol=args.tol)
-        values = ngame.denormalize(est.values)
+        values, spread = estimate_value_limit(ngame, args.schedule,
+                                              tol=args.tol)
+        values = ngame.denormalize(values)
         for z, name in enumerate(game.states):
-            print(f"state {name}: estimate {_fmt(float(values[z]))}")
+            print(f"state {name}: estimate {fmt(float(values[z]))}")
             rows.append((name, float("nan"), float(values[z])))
-        print(f"spread {_fmt(est.spread / ngame.scale)}")
+        print(f"spread {fmt(spread / ngame.scale)}")
 
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("state,lambda,value\n")
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("state", "lambda", "value"))
             for name, rate, value in rows:
-                fh.write(f"{name},{_fmt(rate)},{_fmt(value)}\n")
+                writer.writerow((name, fmt(rate), fmt(value)))
     return EXIT_OK
 
 
@@ -141,13 +144,17 @@ def cmd_simulate(args) -> int:
     stats = engine.monte_carlo(ngame, sigma, tau, args.horizon,
                                args.replications, args.seed,
                                checkpoints=args.checkpoints, workers=workers)
+    stats = dataclasses.replace(stats, mean_avg_payoff={  # in game units
+        n: float(ngame.denormalize(v))
+        for n, v in stats.mean_avg_payoff.items()},
+        payoff_se={n: v / ngame.scale for n, v in stats.payoff_se.items()})
     stats_path = _out_path(args, "stats.csv")
     engine.write_statistics_csv(stats, stats_path)
     print(f"wrote {stats_path}")
     final = stats.checkpoints[-1]
     print(f"mean average payoff at n={final}: "
-          f"{_fmt(stats.mean_avg_payoff[final])} "
-          f"(se {_fmt(stats.payoff_se[final])})")
+          f"{fmt(stats.mean_avg_payoff[final])} "
+          f"(se {fmt(stats.payoff_se[final])})")
 
     if sigma.counter_config is not None:
         report = engine.memory_bound_report(stats, sigma.counter_config)
@@ -222,8 +229,8 @@ def cmd_impossibility(args) -> int:
         fh.write("\n")
     report_path = _out_path(args, "impossibility_report.txt")
     lines = cert.lines() + [
-        f"simulated mixture average payoff: {_fmt(sim_mean)} "
-        f"(se {_fmt(sim_se)}, {args.replications} replications, "
+        f"simulated mixture average payoff: {fmt(sim_mean)} "
+        f"(se {fmt(sim_se)}, {args.replications} replications, "
         f"seed {args.seed})",
         f"certification gamma_T <= 3*delta + 3*SE: "
         f"{'PASS' if certified else 'FAIL'}",
@@ -240,8 +247,10 @@ def cmd_impossibility(args) -> int:
 def cmd_trace(args) -> int:
     _, ngame = _load_game_arg(args.game)
     sigma, tau = _players(args, ngame)
-    traces = engine.run_traces(ngame, sigma, tau, args.horizon,
-                               args.replications, args.seed)
+    traces = [dataclasses.replace(  # payoffs in game units
+        trace, stage_payoff=ngame.denormalize(trace.stage_payoff))
+        for trace in engine.run_traces(ngame, sigma, tau, args.horizon,
+                                       args.replications, args.seed)]
     trace_path = _out_path(args, "trace.csv")
     engine.write_trace_csv(traces, trace_path)
     print(f"wrote {trace_path}")
@@ -250,7 +259,7 @@ def cmd_trace(args) -> int:
                     if trace.absorption_stage is not None else "never")
         print(f"replication {trace.replication}: absorbed {absorbed}, "
               f"max memory {int(trace.stage_memory.max())}, "
-              f"avg payoff {_fmt(float(trace.stage_payoff.mean()))}")
+              f"avg payoff {fmt(float(trace.stage_payoff.mean()))}")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discounted import SolutionCache
+from .discounted import SolutionCache, limit_estimate
 from .games import NormalizedGame
 
 
@@ -203,9 +203,9 @@ def validate_constants(config: CounterConfig, ngame: NormalizedGame,
 
     Report-only: a failed line means the chosen base is too small for this
     game at this epsilon, not that an operation will raise.  The small-rate
-    limit is estimated by the deepest level's values, its spread by the
-    per-state range over the last three levels.  Every value is read from
-    the cache, which solves ngame; ngame itself is not read.
+    limit and its spread are limit_estimate over the levels' values.  Every
+    value is read from the cache, which solves ngame; ngame itself is not
+    read.
     """
     if grid_depth < 1:
         raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
@@ -213,11 +213,8 @@ def validate_constants(config: CounterConfig, ngame: NormalizedGame,
     levels = list(range(grid_depth + 1))
     positions = {k: config.position_at(k) for k in levels}  # depth checked
     rates = {k: config.rate_at(k) for k in levels}          # before any solve
-    values = {k: cache.at(k).values for k in levels}
-
-    tail = np.stack([values[k] for k in levels[-3:]])
-    limit = values[grid_depth]
-    limit_spread = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
+    values = [cache.at(k).values for k in levels]
+    limit, limit_spread = limit_estimate(values)
 
     variation = []
     for k in levels[:-1]:

@@ -205,37 +205,25 @@ def solve_discounted(ngame: NormalizedGame, lam: float, tol: float = DEFAULT_TOL
                               residual=residual, iterations=iterations)
 
 
-@dataclass(frozen=True)
-class ValueLimitEstimate:
-    """Values along a decreasing rate schedule, as a stand-in for lim v_lam.
-
-    values holds the smallest-rate solve; spread is the largest per-state
-    range across the last (up to) three rates and quantifies how settled the
-    limit looks.  per_rate_values[r] aligns with schedule[r].
-    """
-
-    values: np.ndarray
-    schedule: tuple[float, ...]
-    spread: float
-    per_rate_values: np.ndarray
+def limit_estimate(rows) -> tuple[np.ndarray, float]:
+    """Stand-in for lim v_lam from values at decreasing rates, one row each:
+    the last row, and as its spread the largest per-state range across the
+    last (up to) three rows, which quantifies how settled the limit looks."""
+    tail = np.asarray(rows[-3:])
+    return tail[-1], float(np.max(tail.max(axis=0) - tail.min(axis=0)))
 
 
 def estimate_value_limit(ngame: NormalizedGame, schedule,
-                         tol: float = DEFAULT_TOL) -> ValueLimitEstimate:
-    """Solve along a decreasing rate schedule and report the tail spread."""
+                         tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Solve along a decreasing rate schedule; (values, spread) as in
+    limit_estimate."""
     rates = sorted({float(x) for x in schedule}, reverse=True)
     if not rates:
         raise ValueError("rate schedule must be non-empty")
     for lam in rates:
         _check_rate(lam)
-    per_rate = np.empty((len(rates), ngame.game.n_states))
-    for idx, lam in enumerate(rates):
-        per_rate[idx] = solve_discounted(ngame, lam, tol=tol).values
-    tail = per_rate[-min(3, len(rates)):]
-    spread = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
-    per_rate.flags.writeable = False
-    return ValueLimitEstimate(values=per_rate[-1], schedule=tuple(rates),
-                              spread=spread, per_rate_values=per_rate)
+    return limit_estimate([solve_discounted(ngame, lam, tol=tol).values
+                           for lam in rates])
 
 
 class SolutionCache:

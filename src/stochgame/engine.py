@@ -23,10 +23,11 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .adversary import MAX_TABLE_BYTES
 from .counter import CounterConfig, update_distribution
 from .discounted import SolutionCache
 from .games import (NormalizedGame, is_absorbing, probability_rows,
@@ -151,7 +152,8 @@ class EpisodeTrace:
     stage_state[t-1] etc. hold the per-stage tuples; absorption_stage is the
     last stage at which play was still in a non-absorbing state (the stage
     the absorbing action fired), None when play never absorbs, 0 when the
-    game starts absorbed.
+    game starts absorbed.  Payoffs are in the normalized [0, 1] units of
+    the NormalizedGame played.
     """
 
     seed: int
@@ -175,6 +177,7 @@ class RunStatistics:
     exceed_rate[n] is the fraction of replications whose running max memory
     reached memory_slope*ln n, uniform_exceed_rate the fraction for which
     some stage n had memory above min_horizon + memory_slope*ln n.
+    Payoffs are in the normalized [0, 1] units of the NormalizedGame played.
     """
 
     horizon: int
@@ -190,17 +193,12 @@ class RunStatistics:
 
 def default_checkpoints(horizon: int) -> tuple[int, ...]:
     """Geometric grid 10, 10^1.5, 100, ... capped and ending at horizon."""
-    points = set()
+    points = []  # strictly increasing: each is about 3.16 times the last
     k = 2
-    while True:
-        v = int(round(10 ** (k / 2)))
-        if v >= horizon:
-            break
-        if v >= 1:
-            points.add(v)
+    while (v := int(round(10 ** (k / 2)))) < horizon:
+        points.append(v)
         k += 1
-    points.add(horizon)
-    return tuple(sorted(points))
+    return (*points, horizon)
 
 
 def _quantiles_from_hist(hist: np.ndarray, total: int) -> dict[float, int]:
@@ -212,11 +210,10 @@ def _quantiles_from_hist(hist: np.ndarray, total: int) -> dict[float, int]:
 
 @dataclass
 class _ChunkResult:
-    payoff_sum: np.ndarray      # per checkpoint
-    payoff_sumsq: np.ndarray
-    max_mem_hists: list[np.ndarray]
+    # per checkpoint: (sum of average payoffs, sum of squares, max-memory hist)
+    records: list[tuple[float, float, np.ndarray]]
     uniform_exceed: int
-    traces: list[EpisodeTrace] = field(default_factory=list)
+    traces: list[EpisodeTrace]
 
 
 def _merge_hists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,14 +247,7 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
     max_mem = np.zeros(rep_count, dtype=np.int64)
     uniform_flag = np.zeros(rep_count, dtype=bool)
 
-    cp_iter = iter(checkpoints)
-    next_cp = next(cp_iter, None)
-    n_cp = len(checkpoints)
-    payoff_sum = np.zeros(n_cp)
-    payoff_sumsq = np.zeros(n_cp)
-    hists: list[np.ndarray] = []
-    cp_index = 0
-
+    records = []
     if collect_traces:
         tz = np.zeros((rep_count, horizon), dtype=np.int64)
         tk = np.zeros((rep_count, horizon), dtype=np.int64)
@@ -266,12 +256,11 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
         tx = np.zeros((rep_count, horizon))
 
     block = max(16, min(horizon, int(10_000_000 / (4 * max(rep_count, 1)))))
-    t = 1
-    while t <= horizon:
-        b = min(block, horizon - t + 1)
+    for start in range(1, horizon + 1, block):
+        b = min(block, horizon - start + 1)
         u_block = np.stack([g.random(4 * b).reshape(b, 4) for g in gens])
-        for s in range(b):
-            u = u_block[:, s, :]
+        for t in range(start, start + b):
+            u = u_block[:, t - start, :]
             np.maximum(max_mem, k, out=max_mem)
             if stage_curve is not None:
                 uniform_flag |= k > stage_curve[t - 1]
@@ -288,34 +277,24 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                 tx[:, t - 1] = x
             k = sigma.update_memory(t, z, k, i, j, z_next, u[:, 3])
             z = z_next
-            if next_cp is not None and t == next_cp:
+            if t in checkpoints:
                 rbar = pay_sum / t
-                payoff_sum[cp_index] = rbar.sum()
-                payoff_sumsq[cp_index] = (rbar * rbar).sum()
-                hists.append(np.bincount(max_mem))
-                cp_index += 1
-                next_cp = next(cp_iter, None)
-            t += 1
+                records.append((rbar.sum(), (rbar * rbar).sum(),
+                                np.bincount(max_mem)))
 
     traces = []
     if collect_traces:
         absorbing = np.array([is_absorbing(game, s) for s in range(nz)])
-        for r in range(rep_count):
-            abs_mask = absorbing[tz[r]]
-            if abs_mask[0]:
-                absorption = 0
-            elif abs_mask.any():
-                absorption = int(np.argmax(abs_mask))  # stage before landing
-            else:
-                absorption = None
-            traces.append(EpisodeTrace(
-                seed=base_seed, replication=rep_start + r, horizon=horizon,
-                stage_state=tz[r], stage_memory=tk[r], stage_action1=ti[r],
-                stage_action2=tj[r], stage_payoff=tx[r],
-                absorption_stage=absorption))
+        landed = absorbing[tz]
+        first = landed.argmax(axis=1)  # stage before landing; 0 if at start
+        traces = [EpisodeTrace(
+            seed=base_seed, replication=rep_start + r, horizon=horizon,
+            stage_state=tz[r], stage_memory=tk[r], stage_action1=ti[r],
+            stage_action2=tj[r], stage_payoff=tx[r],
+            absorption_stage=int(first[r]) if landed[r, first[r]] else None)
+            for r in range(rep_count)]
 
-    return _ChunkResult(payoff_sum=payoff_sum, payoff_sumsq=payoff_sumsq,
-                        max_mem_hists=hists,
+    return _ChunkResult(records=records,
                         uniform_exceed=int(uniform_flag.sum()), traces=traces)
 
 
@@ -374,33 +353,29 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     else:
         results = [run(c) for c in chunks]
 
-    payoff_sum = np.zeros(len(checkpoints))
-    payoff_sumsq = np.zeros(len(checkpoints))
-    hists = [np.zeros(1, dtype=np.int64) for _ in checkpoints]
-    uniform_count = 0
-    for res in results:
-        payoff_sum += res.payoff_sum
-        payoff_sumsq += res.payoff_sumsq
-        hists = [_merge_hists(h, rh) for h, rh in zip(hists, res.max_mem_hists)]
-        uniform_count += res.uniform_exceed
+    records = results[0].records
+    for res in results[1:]:
+        records = [(s + rs, sq + rsq, _merge_hists(h, rh))
+                   for (s, sq, h), (rs, rsq, rh) in zip(records, res.records)]
+    uniform_count = sum(res.uniform_exceed for res in results)
 
     n_reps = replications
     mean = {}
     se = {}
     quantiles = {}
-    for idx, n in enumerate(checkpoints):
-        mu = payoff_sum[idx] / n_reps
+    for n, (total, total_sq, hist) in zip(checkpoints, records):
+        mu = total / n_reps
         mean[n] = float(mu)
         if n_reps > 1:
-            var = (payoff_sumsq[idx] - n_reps * mu * mu) / (n_reps - 1)
+            var = (total_sq - n_reps * mu * mu) / (n_reps - 1)
             se[n] = float(math.sqrt(max(var, 0.0) / n_reps))
         else:
             se[n] = 0.0
-        quantiles[n] = _quantiles_from_hist(hists[idx], n_reps)
+        quantiles[n] = _quantiles_from_hist(hist, n_reps)
     # integer levels: max memory >= slope*ln n iff it is >= the ceiling
     exceed_rate = None if config is None else {
         n: float(h[math.ceil(config.memory_slope * math.log(n)):].sum() / n_reps)
-        for n, h in zip(checkpoints, hists)}
+        for n, (_, _, h) in zip(checkpoints, records)}
 
     return RunStatistics(
         horizon=horizon, replications=n_reps, base_seed=base_seed,
@@ -415,17 +390,19 @@ def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
     """Simulate replications 0..replications-1 and keep their full traces.
 
     Trace r is bit-identical to what replication r of a monte_carlo run
-    with the same base_seed plays.
+    with the same base_seed plays.  The traces hold 40 bytes per
+    replication-stage, at most MAX_TABLE_BYTES in all.
     """
     _check_run(horizon, replications, base_seed)
+    need = 40 * replications * horizon  # four int64 and one float64 arrays
+    if need > MAX_TABLE_BYTES:
+        raise ValueError(f"the traces need {need:.3g} bytes, over the "
+                         f"{MAX_TABLE_BYTES}-byte limit; at most "
+                         f"{MAX_TABLE_BYTES // 40} replication-stages fit")
     sigma.prepare(horizon)
     tau.prepare(horizon)
-    out = []
-    for r in range(replications):
-        res = _simulate_chunk(ngame, sigma, tau, horizon, base_seed, r, 1,
-                              (horizon,), None, True)
-        out.extend(res.traces)
-    return out
+    return _simulate_chunk(ngame, sigma, tau, horizon, base_seed, 0,
+                           replications, (), None, True).traces
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +478,8 @@ def memory_bound_report(stats: RunStatistics,
         memory_slope=config.memory_slope)
 
 
-def _fmt(value) -> str:
+def fmt(value) -> str:
+    """Output text: floats to 17 significant digits (exact), None empty."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -517,13 +495,13 @@ def write_statistics_csv(stats: RunStatistics, path: str) -> None:
         for n in stats.checkpoints:
             q = stats.max_memory_quantiles[n]
             writer.writerow([
-                _fmt(n),
-                _fmt(stats.mean_avg_payoff[n]),
-                _fmt(stats.payoff_se[n]),
-                _fmt(q[0.5]), _fmt(q[0.9]), _fmt(q[0.99]), _fmt(q[1.0]),
-                _fmt(stats.exceed_rate[n]
-                     if stats.exceed_rate is not None else None),
-                _fmt(stats.uniform_exceed_rate),
+                fmt(n),
+                fmt(stats.mean_avg_payoff[n]),
+                fmt(stats.payoff_se[n]),
+                fmt(q[0.5]), fmt(q[0.9]), fmt(q[0.99]), fmt(q[1.0]),
+                fmt(stats.exceed_rate[n]
+                    if stats.exceed_rate is not None else None),
+                fmt(stats.uniform_exceed_rate),
             ])
 
 
@@ -534,10 +512,10 @@ def write_trace_csv(traces: list[EpisodeTrace], path: str) -> None:
         for trace in traces:
             for t in range(trace.horizon):
                 writer.writerow([
-                    _fmt(trace.replication), _fmt(t + 1),
-                    _fmt(int(trace.stage_state[t])),
-                    _fmt(int(trace.stage_memory[t])),
-                    _fmt(int(trace.stage_action1[t])),
-                    _fmt(int(trace.stage_action2[t])),
-                    _fmt(float(trace.stage_payoff[t])),
+                    fmt(trace.replication), fmt(t + 1),
+                    fmt(int(trace.stage_state[t])),
+                    fmt(int(trace.stage_memory[t])),
+                    fmt(int(trace.stage_action1[t])),
+                    fmt(int(trace.stage_action2[t])),
+                    fmt(float(trace.stage_payoff[t])),
                 ])

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, replay determinism."""
 
+import csv
 import importlib.metadata
 import json
 import os
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 import stochgame
-from stochgame import (PublicMemoryStrategyTable, cli, save_game,
-                       save_strategy_table)
+from stochgame import (GameSpec, PublicMemoryStrategyTable, big_match, cli,
+                       save_game, save_strategy_table)
 
 from conftest import big_match_paying
 
@@ -68,14 +69,29 @@ def test_solve_requires_exactly_one_mode(capsys):
 
 
 def test_solve_schedule_and_csv(tmp_path, capsys):
-    csv = tmp_path / "values.csv"
+    path = tmp_path / "values.csv"
     code = cli.main(["solve", "--schedule", "0.1,0.01,0.001",
-                     "--csv", str(csv)])
+                     "--csv", str(path)])
     assert code == 0
     assert "spread" in capsys.readouterr().out
-    lines = csv.read_text().strip().split("\n")
+    lines = path.read_text().strip().split("\n")
     assert lines[0] == "state,lambda,value"
     assert len(lines) == 4
+
+
+def test_solve_csv_quotes_state_names(tmp_path, capsys):
+    game = big_match()
+    named = GameSpec(("live, start",) + game.states[1:], game.actions1,
+                     game.actions2, game.payoff, game.transition,
+                     game.initial_state)
+    save_game(named, str(tmp_path / "game.json"))
+    path = tmp_path / "values.csv"
+    assert cli.main(["solve", "--game", str(tmp_path / "game.json"),
+                     "--lambda", "0.01", "--csv", str(path)]) == 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["live, start", "0.01", "0.5"]
+    assert all(len(row) == 3 for row in rows)
 
 
 def test_solve_bad_rate(capsys):
@@ -112,6 +128,42 @@ def test_simulate_writes_stats_and_report(tmp_path, capsys):
     report = (tmp_path / "memory_report.txt").read_text()
     assert "uniform" in report
     assert "PASS" in capsys.readouterr().out
+
+
+def _csv_column(path, name):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return np.array([float(row[name]) for row in csv.DictReader(fh)])
+
+
+def test_simulate_and_trace_report_game_units(tmp_path, capsys):
+    """The Big Match paying -1/+1 normalizes to the Big Match itself, so
+    it plays the same and only the reported units differ."""
+    game = big_match()
+    signed = GameSpec(game.states, game.actions1, game.actions2,
+                      2.0 * game.payoff - 1.0, game.transition,
+                      game.initial_state)
+    save_game(signed, str(tmp_path / "signed.json"))
+    runs = {"big-match": tmp_path / "plain",
+            str(tmp_path / "signed.json"): tmp_path / "signed"}
+    for source, out in runs.items():
+        for command, size in (("simulate", 40), ("trace", 3)):
+            assert run_cli([command, "--game", source, "--horizon", "200",
+                            "--replications", str(size), "--seed", "5"],
+                           out) == 0
+    capsys.readouterr()
+    plain, signed_out = tmp_path / "plain", tmp_path / "signed"
+    m = _csv_column(plain / "stats.csv", "mean_avg_payoff")
+    s = _csv_column(plain / "stats.csv", "payoff_se")
+    np.testing.assert_allclose(
+        _csv_column(signed_out / "stats.csv", "mean_avg_payoff"), 2 * m - 1,
+        rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_csv_column(signed_out / "stats.csv",
+                                           "payoff_se"), 2 * s,
+                               rtol=0, atol=1e-15)
+    x = _csv_column(signed_out / "trace.csv", "x")
+    assert set(x.tolist()) == {-1.0, 1.0}
+    np.testing.assert_array_equal(x, 2 * _csv_column(plain / "trace.csv",
+                                                     "x") - 1)
 
 
 def test_simulate_deterministic_rerun_and_workers(tmp_path):
@@ -317,6 +369,29 @@ def test_trace_writes_csv(tmp_path, capsys):
     assert lines[0] == "replication,t,z,k,i,j,x"
     assert len(lines) == 1 + 2 * 25
     assert "replication 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, module, name, message", [
+    (["impossibility", "--sigma", "always-c", "--delta", "0.1",
+      "--horizon", "40000000"], stochgame.adversary, "_forward_pass",
+     "largest horizon that fits is 33554432"),
+    (["impossibility", "--wrap-counter-cap", "40", "--horizon", "818401"],
+     stochgame.adversary, "_forward_pass",
+     "largest horizon that fits is 818400"),
+    (["trace", "--horizon", "7000000", "--replications", "1"],
+     stochgame.engine, "_simulate_chunk",
+     "at most 6710886 replication-stages fit"),
+])
+def test_oversized_run_exits_two(tmp_path, capsys, monkeypatch, argv, module,
+                                 name, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work before rejecting the run's size")
+    monkeypatch.setattr(module, name, no_work)
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "over the 268435456-byte limit" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from stochgame import (CounterConfig, FeasibilityError, make_config,
-                       update_distribution, validate_constants)
+from stochgame import (CounterConfig, FeasibilityError, GameSpec,
+                       make_config, normalize_payoffs, update_distribution,
+                       validate_constants)
 from stochgame import discounted
 from stochgame.counter import MemoryUpdate, discount_rate
 from stochgame.games import sample_rows
@@ -231,6 +232,20 @@ def test_validate_constants_reads_cached_levels(bm, config, monkeypatch):
     assert calls == []
     assert len(cache) == 6
     assert report.limit_spread == pytest.approx(0.0, abs=1e-9)
+
+
+def test_validate_constants_spread_is_limit_estimate(config):
+    # two states that swap each stage: v_lam = (1, 1 - lam) / (2 - lam)
+    alternator = normalize_payoffs(GameSpec(
+        states=("left", "right"), actions1=("stay",), actions2=("go",),
+        payoff=np.array([[[1.0]], [[0.0]]]),
+        transition=np.array([[[[0.0, 1.0]]], [[[1.0, 0.0]]]]),
+        initial_state=0))
+    cache = discounted.SolutionCache(alternator, config)
+    report = validate_constants(config, alternator, cache, 6)
+    _, spread = discounted.limit_estimate(
+        [cache.at(k).values for k in range(7)])
+    assert report.limit_spread == spread > 0.0
 
 
 def test_validate_constants_depth_guard(bm, config, cache):

@@ -1,5 +1,7 @@
 """Simulation engine: determinism, replay invariance, exact chain oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from stochgame import solve_discounted
 from stochgame.adversary import (MarkovAdversary, pure_column_adversary,
                                  stationary_adversary)
 from stochgame import engine
-from stochgame.engine import (CounterStrategy, StationaryStrategy,
-                              TableStrategy, default_checkpoints,
-                              memory_bound_report, monte_carlo, pool_size,
-                              run_traces, write_statistics_csv,
-                              write_trace_csv)
-from stochgame.adversary import PublicMemoryStrategyTable
+from stochgame.engine import (CounterStrategy, EpisodeTrace,
+                              StationaryStrategy, TableStrategy,
+                              default_checkpoints, memory_bound_report,
+                              monte_carlo, pool_size, run_traces,
+                              write_statistics_csv, write_trace_csv)
+from stochgame.adversary import (PublicMemoryStrategyTable,
+                                 build_worthlessness_adversary)
 
 from conftest import make_rng
 from reference import move_law
@@ -136,6 +139,26 @@ def test_run_traces_match_monte_carlo_stream(bm, counter_sigma, uniform_tau):
         np.mean([t.stage_payoff.mean() for t in traces]), abs=1e-15)
     assert stats.max_memory_quantiles[64][1.0] == max(
         int(t.stage_memory.max()) for t in traces)
+
+
+@pytest.mark.parametrize("pair", ["counter-uniform", "table-mixture"])
+def test_run_traces_independent_of_run_size(bm, counter_sigma, uniform_tau,
+                                            pair):
+    """Trace r is the same in a run of R replications as in one of r + 1;
+    the mixture also draws its component at episode start."""
+    sigma, tau = counter_sigma, uniform_tau
+    if pair == "table-mixture":
+        table = PublicMemoryStrategyTable(  # always continue
+            memory_states=1, horizon=None, action=np.array([[[0.0, 1.0]]]),
+            memory_kernel=np.ones((1, 1, 2, 2, 3, 1)))
+        sigma = TableStrategy(table)
+        tau = build_worthlessness_adversary(bm, table, 0.1, 120).mixture
+    full = run_traces(bm, sigma, tau, 120, 6, 19)
+    for r in range(6):
+        solo = run_traces(bm, sigma, tau, 120, r + 1, 19)[r]
+        for f in dataclasses.fields(EpisodeTrace):
+            np.testing.assert_array_equal(getattr(solo, f.name),
+                                          getattr(full[r], f.name))
 
 
 def test_exact_absorption_chain_oracle(bm, live):
