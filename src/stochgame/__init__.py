@@ -16,10 +16,10 @@ from .adversary import (MixedClockedAdversary, PublicMemoryStrategyTable,
                         best_response_public, build_worthlessness_adversary,
                         from_counter_strategy, load_strategy_table,
                         save_strategy_table, stationary_adversary)
-from .engine import (CounterStrategy, EpisodeTrace, MemoryBoundReport,
-                     RunStatistics, StationaryStrategy, TableStrategy,
-                     default_checkpoints, memory_bound_report, monte_carlo,
-                     run_traces, write_statistics_csv, write_trace_csv)
+from .engine import (CounterStrategy, EpisodeTrace, RunStatistics,
+                     StationaryStrategy, TableStrategy, default_checkpoints,
+                     monte_carlo, run_traces, write_statistics_csv,
+                     write_trace_csv)
 
 __version__ = "0.1.0"
 
@@ -35,9 +35,8 @@ __all__ = [
     "PureClockedAdversary", "WorthlessnessError", "best_response_public",
     "build_worthlessness_adversary", "from_counter_strategy",
     "load_strategy_table", "save_strategy_table", "stationary_adversary",
-    "CounterStrategy", "EpisodeTrace", "MemoryBoundReport", "RunStatistics",
-    "StationaryStrategy", "TableStrategy", "default_checkpoints",
-    "memory_bound_report", "monte_carlo", "run_traces",
+    "CounterStrategy", "EpisodeTrace", "RunStatistics", "StationaryStrategy",
+    "TableStrategy", "default_checkpoints", "monte_carlo", "run_traces",
     "write_statistics_csv", "write_trace_csv",
     "__version__",
 ]

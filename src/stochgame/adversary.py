@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .counter import update_distribution
-from .games import (PROB_TOL, GameSpec, NormalizedGame, probability_rows,
-                    sample_rows, stage_row)
+from .games import (PROB_TOL, GameSpec, NormalizedGame, load_json_object,
+                    probability_rows, sample_rows, stage_row)
 
 MAX_TABLE_BYTES = 1 << 28  # largest dense kernel, policy, map or trace
 TAIL_TOL = 1e-3  # bound on the absorb-at-zero mass after each switch stage
@@ -110,13 +110,16 @@ def save_strategy_table(table: PublicMemoryStrategyTable, path: str) -> None:
 def load_strategy_table(path: str) -> PublicMemoryStrategyTable:
     """Read a table from JSON: action rows over player-1 actions, kernel
     rows over memory states; rank decides stationary vs per-stage tables."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json_object(path)
     for key in ("M", "horizon", "action", "memory_kernel"):
         if key not in doc:
             raise ValueError(f"{path}: missing field '{key}'")
-    action = np.asarray(doc["action"], dtype=np.float64)
-    kernel = np.asarray(doc["memory_kernel"], dtype=np.float64)
+    try:
+        action = np.asarray(doc["action"], dtype=np.float64)
+        kernel = np.asarray(doc["memory_kernel"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: action/memory_kernel tables are ragged "
+                         f"or non-numeric: {exc}") from None
     if action.ndim == 2:
         action = action[None, :, :]
     if kernel.ndim == 5:

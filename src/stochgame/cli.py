@@ -29,7 +29,7 @@ from .discounted import (DEFAULT_TOL, MAX_ROUNDS, SolutionCache,
                          SolverIterationError, estimate_value_limit,
                          solve_discounted)
 from .engine import fmt
-from .games import big_match, load_game, normalize_payoffs
+from .games import big_match, load_game, load_json_object, normalize_payoffs
 from .matrix import MatrixSolveError
 
 OUT_DIR_ENV = "STOCHGAME_OUT_DIR"
@@ -155,16 +155,6 @@ def cmd_simulate(args) -> int:
     print(f"mean average payoff at n={final}: "
           f"{fmt(stats.mean_avg_payoff[final])} "
           f"(se {fmt(stats.payoff_se[final])})")
-
-    if sigma.counter_config is not None:
-        report = engine.memory_bound_report(stats, sigma.counter_config)
-        report_path = _out_path(args, "memory_report.txt")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(report.lines()) + "\n")
-        print(f"wrote {report_path}")
-        print(f"memory bounds: {'PASS' if report.all_pass else 'FAIL'}")
-    else:
-        print("memory report skipped (strategy has no counter)")
     return EXIT_OK
 
 
@@ -368,13 +358,9 @@ def _use_config(parser, command: str, path: str) -> None:
     flags = {a.dest: a for a in sub._actions if a.dest != "help"}
     accepted = f"accepted keys for {command}: {', '.join(sorted(flags))}"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = load_json_object(path)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"config file: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {path}: expected a JSON object, got "
-                         f"{type(doc).__name__}; {accepted}")
+        raise ValueError(f"config file: {exc}; {accepted}") from None
     for key, value in doc.items():
         if key not in flags:
             raise ValueError(f"config file {path}: unknown key {key!r}; "

@@ -406,76 +406,7 @@ def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
 
 
 # ---------------------------------------------------------------------------
-# reports and CSV export
-
-
-@dataclass(frozen=True)
-class MemoryBoundRow:
-    n: int
-    exceed_rate: float
-    bound: float        # n^-2
-    tolerance: float    # binomial allowance around the bound
-    max_over_log: float  # empirical max memory / ln n
-    passed: bool
-
-
-@dataclass(frozen=True)
-class MemoryBoundReport:
-    rows: tuple[MemoryBoundRow, ...]
-    uniform_exceed_rate: float
-    uniform_bound: float       # epsilon
-    uniform_se: float
-    uniform_passed: bool
-    memory_slope: float
-
-    @property
-    def all_pass(self) -> bool:
-        return self.uniform_passed and all(r.passed for r in self.rows)
-
-    def lines(self) -> list[str]:
-        out = ["max-memory exceed rates vs the n^-2 bound:"]
-        for r in self.rows:
-            out.append(
-                f"  n={r.n}: rate {r.exceed_rate:.3e} vs bound {r.bound:.3e} "
-                f"(+tol {r.tolerance:.3e}), max/ln n = {r.max_over_log:.2f} "
-                f"vs slope {self.memory_slope:.2f}: "
-                f"{'PASS' if r.passed else 'FAIL'}")
-        out.append(
-            f"uniform exceed rate {self.uniform_exceed_rate:.3e} <= "
-            f"{self.uniform_bound:g} + 4*SE ({self.uniform_se:.3e}): "
-            f"{'PASS' if self.uniform_passed else 'FAIL'}")
-        return out
-
-
-def memory_bound_report(stats: RunStatistics,
-                        config: CounterConfig) -> MemoryBoundReport:
-    """Check the run's memory statistics against the counting bounds.
-
-    Per checkpoint n the exceed rate is compared with n^-2 plus a 4-sigma
-    binomial allowance; the uniform rate is compared with epsilon plus four
-    empirical standard errors.
-    """
-    if stats.exceed_rate is None or stats.uniform_exceed_rate is None:
-        raise ValueError("statistics were not produced with a counter-based "
-                         "strategy")
-    reps = stats.replications
-    rows = []
-    for n in stats.checkpoints:
-        bound = 1.0 / (n * n)
-        tol = 4.0 * math.sqrt(bound * max(1.0 - bound, 0.0) / reps)
-        rate = stats.exceed_rate[n]
-        top = stats.max_memory_quantiles[n][1.0]
-        ratio = top / math.log(n) if n > 1 else 0.0
-        rows.append(MemoryBoundRow(
-            n=n, exceed_rate=rate, bound=bound, tolerance=tol,
-            max_over_log=ratio, passed=rate <= bound + tol))
-    u_rate = stats.uniform_exceed_rate
-    u_se = math.sqrt(u_rate * (1.0 - u_rate) / reps)
-    return MemoryBoundReport(
-        rows=tuple(rows), uniform_exceed_rate=u_rate,
-        uniform_bound=config.epsilon, uniform_se=u_se,
-        uniform_passed=u_rate <= config.epsilon + 4.0 * u_se,
-        memory_slope=config.memory_slope)
+# CSV export
 
 
 def fmt(value) -> str:

@@ -233,26 +233,43 @@ def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[-1] - 1)
 
 
-def load_game(path: str) -> GameSpec:
-    """Load a game from a JSON file.
-
-    Syntax errors report the line and column from the JSON decoder; semantic
-    errors report every violation with its index path into the document.
-    """
+def load_json_object(path: str) -> dict:
+    """The JSON object in the file at path.  A syntax error reports its line
+    and column from the JSON decoder; any other top-level value is
+    rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GameValidationError(
-            [f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"]
-        ) from exc
+        raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: "
+                         f"{exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object, got "
+                         f"{json.dumps(doc)[:40]}")
+    return doc
+
+
+def load_game(path: str) -> GameSpec:
+    """Load a game from a JSON file.
+
+    Semantic errors report every violation with its index path into the
+    document.
+    """
+    doc = load_json_object(path)
     required = ("states", "actions1", "actions2", "payoff", "transition",
                 "initial_state")
     missing = [key for key in required if key not in doc]
     if missing:
         raise GameValidationError(
             [f"{path}: missing required field '{key}'" for key in missing])
+    for key in ("states", "actions1", "actions2"):
+        names = doc[key]
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
+            raise GameValidationError(
+                [f"{path}: field '{key}' must be a JSON array of strings, "
+                 f"got {json.dumps(names)[:40]}"])
     states = doc["states"]
     initial = doc["initial_state"]
     if isinstance(initial, str):

@@ -1,7 +1,8 @@
 """End-to-end acceptance gate.
 
 Eleven numbered checks, each printing one summary line with its measured
-quantities and the tolerance it was held to.  Check 7 runs a reduced
+quantities and the tolerance it was held to, and a planted fault that the
+exact memory checks must catch.  Check 7 runs a reduced
 configuration by default; set STOCHGAME_HEAVY=1 for the full-size run
 (several hundred replications over millions of stages, on the order of
 fifteen minutes).
@@ -16,19 +17,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochgame import cli, solve_discounted
+from stochgame import cli, counter, engine, solve_discounted
 from stochgame.adversary import (BestResponseAdversary,
                                  PublicMemoryStrategyTable,
                                  best_response_public,
                                  build_worthlessness_adversary,
                                  from_counter_strategy, pure_column_adversary,
                                  stationary_adversary)
-from stochgame.counter import update_distribution
-from stochgame.engine import CounterStrategy, TableStrategy, monte_carlo
+from stochgame.counter import MemoryUpdate, update_distribution
+from stochgame.engine import (CounterStrategy, TableStrategy, _simulate_chunk,
+                              monte_carlo)
 from stochgame.matrix import solve_matrix_game
 
 from conftest import make_rng
-from reference import best_response_exact
+from reference import best_response_exact, counter_reach_probability
 
 HEAVY = os.environ.get("STOCHGAME_HEAVY") == "1"
 
@@ -145,43 +147,118 @@ def test_criterion_04_one_step_submartingale(bm, bm_game, config, cache,
 
 # ---------------------------------------------------------------------- 5
 
-def test_criterion_05_memory_bound_iid(bm, config, cache):
-    """10^6 hundred-stage replications against the uniform column mixture:
-    the count of runs whose max memory reaches slope*ln(100) stays within
-    the n^-2 expectation plus four standard deviations (<= 140)."""
+# (n, least K with worst-case P(level reaches K by stage n) <= MEMORY_TAIL)
+MEMORY_LADDER = ((100, 33), (1_000, 103), (10_000, 202))
+MEMORY_TAIL = 1e-3
+
+
+def memory_ladder_failures(bm, config, cache) -> list[str]:
+    """The exact worst-case memory check; returns what fails.
+
+    Per ladder row (n, K): P(K) <= MEMORY_TAIL < P(K - 1) against the
+    opponent that sees the level and drives it up.  The level reaches K
+    only through K - 1, so P falls with K and the bracket makes K the least
+    such level.  Then K <= memory_slope * ln n, and over the last decade K
+    grows by [0.8, 1.1] * log_growth 10 levels: O(log n) memory.
+    """
+    levels = sorted({k for _, top in MEMORY_LADDER for k in (top - 1, top)})
+    reach = counter_reach_probability(bm, config, cache, levels,
+                                      MEMORY_LADDER[-1][0])
+    failures = []
+    for n, top in MEMORY_LADDER:
+        p, p_below = (reach[n, levels.index(k)] for k in (top, top - 1))
+        if not p <= MEMORY_TAIL < p_below:
+            failures.append(f"n={n}: P(K={top}) = {p:.3e} and "
+                            f"P(K={top - 1}) = {p_below:.3e} do not bracket "
+                            f"{MEMORY_TAIL:g}")
+        if top > config.memory_slope * np.log(n):
+            failures.append(f"n={n}: K={top} > memory_slope * ln n")
+    (_, below), (_, above) = MEMORY_LADDER[-2:]
+    growth = (above - below) * np.log(config.growth) / np.log(10.0)
+    if not 0.8 <= growth <= 1.1:
+        failures.append(f"last decade grows {growth:.3f} * log_growth 10")
+    return failures
+
+
+def test_criterion_05_exact_memory_ladder(bm, config, cache):
+    """Exact worst case: the least K with P(level reaches K by stage n)
+    <= 1e-3 is 33, 103 and 202 at n = 1e2, 1e3 and 1e4, about log_growth 10
+    more per decade and far below memory_slope * ln n."""
     t0 = time.perf_counter()
-    sigma = CounterStrategy(bm, config, cache)
-    tau = stationary_adversary(np.full((3, 2), 0.5))
-    reps = 1_000_000
-    stats = monte_carlo(bm, sigma, tau, 100, reps, 404,
-                        checkpoints=(100,))
-    count = round(stats.exceed_rate[100] * reps)
-    bound = 100 + 4 * 10  # reps/n^2 + 4*sqrt(reps/n^2)
-    assert count <= bound
+    failures = memory_ladder_failures(bm, config, cache)
+    assert not failures, failures
     wall = time.perf_counter() - t0
-    report(5, f"{reps} runs, exceed count {count} <= {bound} "
-              f"(threshold {config.memory_slope * np.log(100):.0f} levels), "
-              f"{wall:.0f}s")
+    assert wall < 30.0
+    report(5, "least K(n) = " + ", ".join(
+        f"{top} at n={n} (slope bound {config.memory_slope * np.log(n):.0f})"
+        for n, top in MEMORY_LADDER) + f", {wall:.1f}s")
 
 
 # ---------------------------------------------------------------------- 6
 
-def test_criterion_06_uniform_memory_bound(bm, config, cache):
-    """10^4 replications over 10^5 stages: the fraction that ever cross
-    min_horizon + slope*ln(t) stays below epsilon plus four standard
-    errors."""
-    t0 = time.perf_counter()
+MEMORY_CHECKPOINTS = (20, 50)
+MEMORY_LEVELS = (4, 6, 8)
+MEMORY_REPS = 32_768
+
+
+@pytest.fixture(scope="module")
+def uniform_memory_hist(bm, config, cache):
+    """The engine's max-memory histograms at MEMORY_CHECKPOINTS, counter
+    against the uniform column mixture."""
     sigma = CounterStrategy(bm, config, cache)
     tau = stationary_adversary(np.full((3, 2), 0.5))
-    reps = 10_000
-    stats = monte_carlo(bm, sigma, tau, 100_000, reps, 405,
-                        checkpoints=(100_000,))
-    rate = stats.uniform_exceed_rate
-    se = float(np.sqrt(rate * (1 - rate) / reps))
-    assert rate <= config.epsilon + 4 * se
-    wall = time.perf_counter() - t0
-    report(6, f"{reps} runs x 1e5 stages, crossing rate {rate:.2e} <= "
-              f"epsilon + 4SE = {config.epsilon + 4 * se:.3f}, {wall:.0f}s")
+    records = _simulate_chunk(bm, sigma, tau, MEMORY_CHECKPOINTS[-1], 405, 0,
+                              MEMORY_REPS, MEMORY_CHECKPOINTS, None,
+                              False).records
+    return [hist for _, _, hist in records]
+
+
+def memory_engine_deviations(bm, config, cache, hists) -> list[float]:
+    """z-scores of the engine's P(max memory >= K by stage n) against the
+    exact induction with player 2 fixed to the uniform mixture."""
+    reach = counter_reach_probability(bm, config, cache, MEMORY_LEVELS,
+                                      MEMORY_CHECKPOINTS[-1],
+                                      column_mix=np.full((3, 2), 0.5))
+    zs = []
+    for n, hist in zip(MEMORY_CHECKPOINTS, hists):
+        for col, k in enumerate(MEMORY_LEVELS):
+            p = reach[n, col]
+            sampled = hist[k:].sum() / MEMORY_REPS
+            zs.append(float((sampled - p) / np.sqrt(p * (1 - p) / MEMORY_REPS)))
+    return zs
+
+
+def test_criterion_06_memory_reference_matches_engine(bm, config, cache,
+                                                      uniform_memory_hist):
+    """32768 replications against the uniform column: the engine's
+    max-memory tails at n = 20, 50 and K = 4, 6, 8 match the exact
+    induction within 4 SE."""
+    zs = memory_engine_deviations(bm, config, cache, uniform_memory_hist)
+    worst = max(abs(z) for z in zs)
+    assert worst <= 4.0, zs
+    report(6, f"{len(zs)} tails, worst |z| = {worst:.2f} <= 4")
+
+
+def test_planted_fault_doubled_p_up(bm, config, cache, uniform_memory_hist,
+                                    monkeypatch):
+    """Both exact memory checks fail once the move law's up-probability
+    doubles, with p_stay recomputed; the engine keeps the true law."""
+    real = counter.update_distribution
+
+    def doubled(config, level, payoff, value_next):
+        upd = real(config, level, payoff, value_next)
+        return MemoryUpdate(p_up=2.0 * upd.p_up,
+                            p_stay=1.0 - 2.0 * upd.p_up - upd.p_down,
+                            p_down=upd.p_down)
+
+    monkeypatch.setattr(counter, "update_distribution", doubled)
+    p = counter_reach_probability(bm, config, cache, (103,), 1_000)[-1, 0]
+    assert p > MEMORY_TAIL
+    assert memory_ladder_failures(bm, config, cache)
+    zs = memory_engine_deviations(bm, config, cache, uniform_memory_hist)
+    assert max(abs(z) for z in zs) > 4.0
+    print(f"[planted fault] doubled p_up: P(n=1000, K=103) = {p:.3f}, "
+          f"engine worst |z| = {max(abs(z) for z in zs):.0f}")
 
 
 # ---------------------------------------------------------------------- 7
@@ -381,9 +458,11 @@ def test_criterion_10_matrix_solver(bm):
 
 # --------------------------------------------------------------------- 11
 
-def test_criterion_11_deterministic_replay(tmp_path):
+def test_criterion_11_deterministic_replay(tmp_path, monkeypatch):
     """Identical seeds give byte-identical CSV outputs regardless of the
-    worker count."""
+    worker count; 17-replication chunks split the 96 replications six
+    ways, so several threads share them out."""
+    monkeypatch.setattr(engine, "CHUNK", 17)
     args = ["simulate", "--horizon", "400", "--replications", "96",
             "--seed", "2026"]
     dirs = [tmp_path / n for n in ("w1", "w1b", "w3", "w4")]

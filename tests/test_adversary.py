@@ -148,6 +148,17 @@ def test_table_load_rejects_bad_rows(tmp_path):
         load_strategy_table(str(path))
 
 
+@pytest.mark.parametrize("key", ["action", "memory_kernel"])
+def test_table_load_rejects_non_numeric_tables(tmp_path, key):
+    path = tmp_path / "table.json"
+    save_strategy_table(stationary_table(0.25), str(path))
+    doc = json.loads(path.read_text())
+    doc[key] = {"rows": 1}  # a TypeError inside numpy, reported as bad input
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="ragged or non-numeric"):
+        load_strategy_table(str(path))
+
+
 @pytest.mark.parametrize("key, value", [
     ("horizon", 2.7), ("horizon", True), ("horizon", "2"), ("M", True),
     ("M", 1.0), ("M", None)])

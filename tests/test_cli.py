@@ -125,9 +125,8 @@ def test_simulate_writes_stats_and_report(tmp_path, capsys):
     assert code == 0
     stats = (tmp_path / "stats.csv").read_text()
     assert stats.startswith("n,mean_avg_payoff")
-    report = (tmp_path / "memory_report.txt").read_text()
-    assert "uniform" in report
-    assert "PASS" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
+    assert "mean average payoff at n=200" in capsys.readouterr().out
 
 
 def _csv_column(path, name):
@@ -274,6 +273,31 @@ def test_malformed_game_json(tmp_path, capsys):
     bad.write_text('{"states": [}')
     assert cli.main(["solve", "--game", str(bad), "--lambda", "0.1"]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    (5, "the top level must be a JSON object, got 5"),
+    ([], "the top level must be a JSON object, got []"),
+    ("text", 'the top level must be a JSON object, got "text"'),
+    ({"states": "LAB"},
+     'field \'states\' must be a JSON array of strings, got "LAB"'),
+])
+def test_malformed_document_exits_two(tmp_path, capsys, doc, message):
+    """Game and table files alike; a dict replaces fields of a valid
+    Big Match file, and only games have name fields."""
+    path = tmp_path / "doc.json"
+    commands = [["solve", "--game", str(path), "--lambda", "0.1"]]
+    if isinstance(doc, dict):
+        save_game(big_match(), str(path))
+        doc = {**json.loads(path.read_text()), **doc}
+    else:
+        commands += [["simulate", "--sigma", str(path)],
+                     ["impossibility", "--sigma", str(path)]]
+    path.write_text(json.dumps(doc))
+    for argv in commands:
+        assert run_cli(argv, tmp_path / "out") == 2, argv
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_semantically_invalid_game(tmp_path, capsys):

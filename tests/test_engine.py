@@ -11,9 +11,9 @@ from stochgame.adversary import (MarkovAdversary, pure_column_adversary,
 from stochgame import engine
 from stochgame.engine import (CounterStrategy, EpisodeTrace,
                               StationaryStrategy, TableStrategy,
-                              default_checkpoints, memory_bound_report,
-                              monte_carlo, pool_size, run_traces,
-                              write_statistics_csv, write_trace_csv)
+                              default_checkpoints, monte_carlo, pool_size,
+                              run_traces, write_statistics_csv,
+                              write_trace_csv)
 from stochgame.adversary import (PublicMemoryStrategyTable,
                                  build_worthlessness_adversary)
 
@@ -225,19 +225,6 @@ def test_memory_statistics_only_with_counter(bm, counter_sigma, uniform_tau):
     without = monte_carlo(bm, sigma, uniform_tau, 100, 32, 3)
     assert without.exceed_rate is None
     assert without.uniform_exceed_rate is None
-
-
-def test_memory_bound_report(bm, config, counter_sigma, uniform_tau):
-    stats = monte_carlo(bm, counter_sigma, uniform_tau, 1000, 256, 23)
-    report = memory_bound_report(stats, config)
-    assert report.memory_slope == config.memory_slope
-    assert len(report.rows) == len(stats.checkpoints)
-    for row in report.rows:
-        assert row.bound == pytest.approx(row.n ** -2.0)
-        assert row.passed
-    assert report.uniform_passed
-    assert report.all_pass
-    assert any("uniform" in line for line in report.lines())
 
 
 def test_table_strategy_equals_stationary(bm, uniform_tau):
