@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .counter import update_distribution
+from .counter import SHIFTS, level_table
 from .games import (PROB_TOL, GameSpec, NormalizedGame, load_json_object,
                     probability_rows, sample_rows, stage_row)
 
@@ -140,7 +140,8 @@ def from_counter_strategy(ngame: NormalizedGame, config, cache, cap: int,
 
     The action row at memory m is the strategy's mixture at the game's
     initial state (correct for games whose other states are absorbing, e.g.
-    the Big Match).  At the cap, the up-move folds into staying put.  The
+    the Big Match).  Each shift's target level is clipped to [0, cap], so
+    at the cap the up-move folds into staying put.  The
     kernel evaluates the stage payoff at the initial state as well; after
     absorption the true counter sees a constant payoff instead, but memory
     evolution there influences neither payoffs nor best responses.
@@ -156,22 +157,16 @@ def from_counter_strategy(ngame: NormalizedGame, config, cache, cap: int,
                          f"-byte memory kernel, over the {MAX_TABLE_BYTES}-byte "
                          f"limit; the largest cap that fits is {fits}")
     live = game.initial_state
+    mix, shift = level_table(config, cache, range(cap + 1))
     m = np.arange(cap + 1)
-    sols = [cache.at(k) for k in m.tolist()]
-    action = np.array([[sol.strategy1[live] for sol in sols]])
-    upd = update_distribution(
-        config, m[:, None, None, None], game.payoff[live][None, :, :, None],
-        np.stack([sol.values for sol in sols])[:, None, None, :])
-    p_stay = upd.p_stay.copy()
-    p_stay[cap] += upd.p_up[cap]
     kernel = np.zeros((1, cap + 1, game.n_actions1, game.n_actions2,
                        game.n_states, cap + 1))
     moves = kernel[0]  # (M, I, J, Z', M')
-    moves[m, ..., m] = p_stay
-    moves[m[1:], ..., m[:-1]] = upd.p_down[1:]
-    moves[m[:-1], ..., m[1:]] = upd.p_up[:-1]
+    for a, step in enumerate(SHIFTS):
+        moves[m, ..., np.clip(m + step, 0, cap)] += shift[:, live, ..., a]
     return PublicMemoryStrategyTable(memory_states=cap + 1, horizon=horizon,
-                                     action=action, memory_kernel=kernel)
+                                     action=mix[None, :, live],
+                                     memory_kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +272,11 @@ class MarkovAdversary(Adversary):
 class BestResponseAdversary(Adversary):
     """Plays a precomputed backward-induction policy over (t, z, m).
 
-    The policy is built for build_horizon stages by stages-remaining; when
-    the simulated horizon is longer, early stages clamp to the
-    deepest-horizon row (row 1) and the final build_horizon stages align
-    with the table's endgame.  Memory levels past the table clamp to its
-    last row.
+    The policy is built for build_horizon stages by stages-remaining, and
+    the last simulated stage always plays its last row: a shorter run plays
+    only the plan's endgame, and in a longer one the early stages clamp to
+    the deepest-horizon row (row 1).  Memory levels past the table clamp to
+    its last row.
     """
 
     def __init__(self, policy: np.ndarray, build_horizon: int):
@@ -290,7 +285,7 @@ class BestResponseAdversary(Adversary):
         self._shift = 0
 
     def prepare(self, horizon: int) -> None:
-        self._shift = max(0, horizon - self.build_horizon)
+        self._shift = horizon - self.build_horizon
 
     def act(self, t, z, m, comp, u):
         row = max(1, t - self._shift)

@@ -155,6 +155,23 @@ def update_distribution(config: CounterConfig, level, payoff,
     return MemoryUpdate(p_up=p_up, p_stay=1.0 - p_up - p_down, p_down=p_down)
 
 
+SHIFTS = (1, 0, -1)  # level shifts, in the order of level_table's last axis
+
+
+def level_table(config: CounterConfig, cache: SolutionCache, levels):
+    """Player 1's mixtures (L, Z, I) at the given levels, as cache solves
+    them, and the probabilities (L, Z, I, J, Z', 3) of the level shifts
+    SHIFTS after actions (i, j) at state z lead to z': update_distribution
+    at the stage payoff of the cache's game and the level's value of z'."""
+    sols = [cache.at(k) for k in levels]
+    upd = update_distribution(
+        config, np.asarray(levels)[:, None, None, None, None],
+        cache.ngame.game.payoff[None, :, :, :, None],
+        np.stack([sol.values for sol in sols])[:, None, None, None, :])
+    return (np.stack([sol.strategy1 for sol in sols]),
+            np.stack([upd.p_up, upd.p_stay, upd.p_down], axis=-1))
+
+
 @dataclass(frozen=True)
 class ConstantsCheck:
     name: str

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import MAX_TABLE_BYTES
-from .counter import CounterConfig, update_distribution
+from .counter import CounterConfig, level_table
 from .discounted import SolutionCache
 from .games import (NormalizedGame, is_absorbing, probability_rows,
                     sample_rows, stage_row, transition_cdf)
@@ -67,58 +67,42 @@ class StationaryStrategy:
 class CounterStrategy:
     """The geometric-counter strategy driven by a shared solution cache.
 
-    Per-level action mixtures and memory-update thresholds are materialized
-    into flat tables, grown on demand as simulated counters climb; the
-    thresholds are update_distribution's p_up and p_up + p_stay.
+    Holds the cumulative rows of counter.level_table, the action mixtures
+    and the level shifts, for levels 0 up to the deepest that play has
+    reached; the table grows under a lock when play goes deeper.
     """
 
     def __init__(self, ngame: NormalizedGame, config: CounterConfig,
                  cache: SolutionCache):
-        self.ngame = ngame
+        game = ngame.game
         self.counter_config = config
         self.cache = cache
-        self._levels = 0
-        self._cum_act = np.zeros((0, ngame.game.n_states,
-                                  ngame.game.n_actions1))
-        shape = (0, ngame.game.n_states, ngame.game.n_actions1,
-                 ngame.game.n_actions2, ngame.game.n_states)
-        self._thresh_up = np.zeros(shape)
-        self._thresh_stay = np.zeros(shape)
+        self._cum_act = np.zeros((0, game.n_states, game.n_actions1))
+        self._cum_shift = np.zeros((0, game.n_states, game.n_actions1,
+                                    game.n_actions2, game.n_states, 3))
         self._lock = threading.Lock()
 
     def prepare(self, horizon: int) -> None:
-        self._ensure(1)
-
-    def _ensure(self, levels: int) -> None:
-        if levels <= self._levels:
-            return
-        with self._lock:
-            if levels <= self._levels:
-                return
-            new = np.arange(self._levels, max(levels, self._levels * 2, 8))
-            sols = [self.cache.at(k) for k in new.tolist()]
-            upd = update_distribution(
-                self.counter_config, new[:, None, None, None, None],
-                self.ngame.game.payoff[None, :, :, :, None],
-                np.stack([sol.values for sol in sols])[:, None, None, None, :])
-            self._cum_act = np.concatenate(
-                [self._cum_act, np.cumsum([s.strategy1 for s in sols], axis=-1)])
-            self._thresh_up = np.concatenate([self._thresh_up, upd.p_up])
-            self._thresh_stay = np.concatenate(
-                [self._thresh_stay, upd.p_up + upd.p_stay])
-            self._levels = int(new[-1]) + 1
+        pass
 
     def act(self, t, z, k, u):
         top = int(k.max()) + 1
-        if top > self._levels:
-            self._ensure(top)
-        rows = self._cum_act[k, z]
-        return sample_rows(rows, u)
+        if top > len(self._cum_act):
+            with self._lock:
+                have = len(self._cum_act)
+                if top > have:
+                    mix, shift = level_table(self.counter_config, self.cache,
+                                             range(have, top))
+                    # act rows last: their length is what the check reads
+                    self._cum_shift = np.concatenate(
+                        [self._cum_shift, np.cumsum(shift, axis=-1)])
+                    self._cum_act = np.concatenate(
+                        [self._cum_act, np.cumsum(mix, axis=-1)])
+        return sample_rows(self._cum_act[k, z], u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
-        up = self._thresh_up[k, z, i, j, z_next]
-        stay = self._thresh_stay[k, z, i, j, z_next]
-        return k + (u < up).astype(np.int64) - (u >= stay).astype(np.int64)
+        # row index a is the shift SHIFTS[a] = 1 - a
+        return k + 1 - sample_rows(self._cum_shift[k, z, i, j, z_next], u)
 
 
 class TableStrategy:
@@ -256,9 +240,11 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
         tx = np.zeros((rep_count, horizon))
 
     block = max(16, min(horizon, int(10_000_000 / (4 * max(rep_count, 1)))))
+    u_block = np.empty((rep_count, block, 4))  # each stream's next block
     for start in range(1, horizon + 1, block):
         b = min(block, horizon - start + 1)
-        u_block = np.stack([g.random(4 * b).reshape(b, 4) for g in gens])
+        for g, row in zip(gens, u_block):
+            g.random(out=row[:b])
         for t in range(start, start + b):
             u = u_block[:, t - start, :]
             np.maximum(max_mem, k, out=max_mem)

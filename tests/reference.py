@@ -148,27 +148,24 @@ def counter_reach_probability(ngame, config, cache, levels, horizon: int,
     Row n of the (horizon + 1, len(levels)) result holds, for each K in
     levels, the probability that the level at the start of some stage
     1..n is at least K, as the engine's max-memory histogram counts it;
-    row 0 is 0.  Player 1 plays cache.at(m).strategy1 and moves the level
-    by counter.update_distribution, both read from the library.  Player 2
-    plays column_mix (Z, J) when given; otherwise it sees the level and
-    picks, per (stage, state, level), the column that maximizes the
-    chance of reaching K, which bounds every real opponent from above.
-    The play is time-homogeneous, so one pass of horizon - 1 steps gives
-    every n <= horizon.
+    row 0 is 0.  Player 1 plays and moves the level by
+    counter.level_table, the table the engine and from_counter_strategy
+    read.  Player 2 plays column_mix (Z, J) when given; otherwise it sees
+    the level and picks, per (stage, state, level), the column that
+    maximizes the chance of reaching K, which bounds every real opponent
+    from above.  The play is time-homogeneous, so one pass of horizon - 1
+    steps gives every n <= horizon.
     """
     game = ngame.game
     nz, nj = game.n_states, game.n_actions2
     top = max(levels)
     m = np.arange(top)
-    sols = [cache.at(k) for k in m.tolist()]
-    upd = counter.update_distribution(
-        config, m[:, None, None, None, None], game.payoff[None, :, :, :, None],
-        np.stack([sol.values for sol in sols])[:, None, None, None, :])
-    act = np.stack([sol.strategy1 for sol in sols])
-    # step[move][m] maps v[level after the move, z'] to the (z, j) rows
-    step = [np.einsum("mzi,zijw,mzijw->mzjw", act, game.transition, p)
-            .reshape(top, nz * nj, nz)
-            for p in (upd.p_down, upd.p_stay, upd.p_up)]
+    act, shift = counter.level_table(config, cache, range(top))
+    # step[a][m] maps v[level after shift counter.SHIFTS[a], z'] to the
+    # (z, j) rows
+    step = [np.einsum("mzi,zijw,mzijw->mzjw", act, game.transition,
+                      shift[..., a]).reshape(top, nz * nj, nz)
+            for a in range(len(counter.SHIFTS))]
     live = m[:, None, None] < np.asarray(levels)[None, None, :]
     v = np.ones((top + 1, nz, len(levels)))  # v[level, z, K]
     v[:top] = np.where(live, 0.0, 1.0)
@@ -177,8 +174,8 @@ def counter_reach_probability(ngame, config, cache, levels, horizon: int,
         out[n] = v[0, game.initial_state]
         if n == horizon:
             break
-        q = (step[0] @ v[np.maximum(m - 1, 0)] + step[1] @ v[:top]
-             + step[2] @ v[1:]).reshape(top, nz, nj, len(levels))
+        q = (step[2] @ v[np.maximum(m - 1, 0)] + step[1] @ v[:top]
+             + step[0] @ v[1:]).reshape(top, nz, nj, len(levels))
         best = (q.max(axis=2) if column_mix is None
                 else np.einsum("mzjk,zj->mzk", q, column_mix))
         v[:top] = np.where(live, best, 1.0)

@@ -242,7 +242,9 @@ def test_criterion_06_memory_reference_matches_engine(bm, config, cache,
 def test_planted_fault_doubled_p_up(bm, config, cache, uniform_memory_hist,
                                     monkeypatch):
     """Both exact memory checks fail once the move law's up-probability
-    doubles, with p_stay recomputed; the engine keeps the true law."""
+    doubles, with p_stay recomputed.  The doubled law reaches
+    counter.level_table, so the engine's histogram is the module
+    fixture's, drawn before the patch under the true law."""
     real = counter.update_distribution
 
     def doubled(config, level, payoff, value_next):

@@ -323,6 +323,22 @@ def test_best_response_adversary_reuse(bm, config, cache):
     assert j_deep[0] in (0, 1)
 
 
+def test_best_response_played_shorter_plays_its_endgame(bm, config, cache,
+                                                        live):
+    """A plan built for 2000 stages and played for 100 plays its last 100
+    rows, which are the 100-stage best response."""
+    tab = from_counter_strategy(bm, config, cache, 4, 2000)
+    adv = BestResponseAdversary(best_response_public(bm, tab, 2000).policy,
+                                2000)
+    adv.prepare(100)
+    want = best_response_public(bm, tab, 100).policy
+    m = np.arange(5)
+    z = np.full(5, live)
+    for t in range(1, 101):
+        np.testing.assert_array_equal(adv.act(t, z, m, None, None),
+                                      want[t - 1, live])
+
+
 # ------------------------------------------------- big-match recognition
 
 def test_big_match_indices_canonical(bm):

@@ -1,11 +1,12 @@
 """Simulation engine: determinism, replay invariance, exact chain oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochgame import solve_discounted
+from stochgame import SolutionCache, solve_discounted
 from stochgame.adversary import (MarkovAdversary, pure_column_adversary,
                                  stationary_adversary)
 from stochgame import engine
@@ -43,14 +44,42 @@ def test_run_episode_deterministic(bm, counter_sigma, uniform_tau):
 
 def test_counter_thresholds_follow_move_law(bm, config, cache):
     sigma = CounterStrategy(bm, config, cache)
-    sigma.prepare(1)
     sigma.act(1, np.zeros(1, dtype=np.int64), np.array([11]), np.zeros(1))
     pay = bm.game.payoff
-    for k, z, i, j, zn in np.ndindex(sigma._thresh_up.shape):
-        up, stay, _ = move_law(config, k, float(pay[z, i, j]),
-                               float(cache.at(k).values[zn]))
-        assert sigma._thresh_up[k, z, i, j, zn] == up
-        assert sigma._thresh_stay[k, z, i, j, zn] == up + stay
+    rows = sigma._cum_shift  # cumulative shifts (+1, 0, -1)
+    assert len(rows) == 12   # levels 0..11: up to the deepest played
+    for k, z, i, j, zn in np.ndindex(rows.shape[:5]):
+        up, stay, down = move_law(config, k, float(pay[z, i, j]),
+                                  float(cache.at(k).values[zn]))
+        assert tuple(rows[k, z, i, j, zn]) == (up, up + stay,
+                                               up + stay + down)
+
+
+def test_counter_solves_only_the_levels_play_reaches(bm, config,
+                                                     uniform_tau):
+    """A fresh cache ends with levels 0 up to the deepest that play
+    reached, at 4096 replications x 2000 stages, seed 1."""
+    cache = SolutionCache(bm, config)
+    sigma = CounterStrategy(bm, config, cache)
+    stats = monte_carlo(bm, sigma, uniform_tau, 2000, 4096, 1,
+                        checkpoints=(2000,))
+    deepest = stats.max_memory_quantiles[2000][1.0]
+    assert len(cache) == deepest + 1 == 80
+
+
+def test_uniform_block_is_held_once(bm, uniform_tau):
+    """One chunk's traced peak stays below 1.5 times its block of
+    uniforms: the streams draw into one buffer, not into copies."""
+    reps, horizon = 4096, 600  # one block: 4 uniforms per rep-stage
+    sigma = StationaryStrategy(np.full((3, 2), 0.5))
+    tracemalloc.start()
+    try:
+        engine._simulate_chunk(bm, sigma, uniform_tau, horizon, 1, 0, reps,
+                               (horizon,), None, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (4 * 8 * reps * horizon)
 
 
 def test_trace_consistency(bm, bm_game, counter_sigma, uniform_tau, live):
