@@ -190,7 +190,8 @@ def best_response_public(ngame: NormalizedGame,
     Backward induction over the joint observable state (z, m): V_t(z, m) is
     the minimal expected total payoff from stage t on.  Ties in the
     stage-wise minimization break toward the higher action index, so at
-    exact indifference the policy plays the latter action.
+    exact indifference the policy plays the latter action.  Each stage
+    contracts the nonzeros of the one-step law built once for its table row.
     """
     sigma.check_horizon(horizon)
     game = ngame.game
@@ -203,18 +204,26 @@ def best_response_public(ngame: NormalizedGame,
                          f"the {MAX_TABLE_BYTES}-byte limit")
     policy = np.zeros((horizon, nz, m_states), dtype=np.int8)
     values = np.zeros((nz, m_states))
+    law = np.empty((m_states * nj, nz * m_states))  # (m, j) -> (z', m') from one z
+    row = None
     for t in range(horizon, 0, -1):
-        act = stage_row(sigma.action, t)         # (M, I)
-        ker = stage_row(sigma.memory_kernel, t)  # (M, I, J, Z, M')
-        cont = np.einsum("mijwn,wn->mijw", ker, values)
-        expected = np.einsum("zijw,mijw->zmij", game.transition, cont)
-        stage = np.einsum("mi,zij->zmj", act, game.payoff)
-        q = stage + np.einsum("mi,zmij->zmj", act, expected)
+        if row != (row := (min(t, len(sigma.action)),
+                           min(t, len(sigma.memory_kernel)))):
+            act, ker = sigma.action[row[0] - 1], sigma.memory_kernel[row[1] - 1]
+            stage = np.einsum("mi,zij->zmj", act, game.payoff)
+            parts = []  # nonzeros (rows, cols, coef) of (z, m, j) -> (z', m')
+            for z in range(nz):
+                np.einsum("mi,ijw,mijwn->mjwn", act, game.transition[z], ker,
+                          out=law.reshape(m_states, nj, nz, m_states))
+                r, c = np.nonzero(law)
+                parts.append((r + z * len(law), c, law[r, c]))
+            rows, cols, coef = map(np.concatenate, zip(*parts))
+        q = stage + np.bincount(rows, coef * values.ravel()[cols],
+                                stage.size).reshape(stage.shape)
         policy[t - 1] = (nj - 1) - q[:, :, ::-1].argmin(axis=2)
         values = q.min(axis=2)
-    z0 = game.initial_state
     return BestResponse(policy=policy,
-                        value=float(values[z0, 0]) / horizon)
+                        value=float(values[game.initial_state, 0]) / horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -228,8 +228,9 @@ def stage_row(table, t: int):
 def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw, the one sampling rule everywhere: per row, the
     smallest index a with u < cum_rows[..., a], clamped to the last index so
-    that round-off in a row's total never yields an index past the end."""
-    idx = (u[..., None] >= cum_rows).sum(axis=-1)
+    that round-off in a row's total never yields an index past the end.
+    Counted one column at a time: a reduction over that short axis is slow."""
+    idx = sum(u >= cum_rows[..., a] for a in range(cum_rows.shape[-1]))
     return np.minimum(idx, cum_rows.shape[-1] - 1)
 
 

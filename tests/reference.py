@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 
 from stochgame import counter, solve_matrix_game
+from stochgame.adversary import MAX_TABLE_BYTES, BestResponse
+from stochgame.games import stage_row
 
 
 def best_response_exact(payoff, transition, action, kernel, horizon: int,
@@ -61,6 +63,39 @@ def best_response_exact(payoff, transition, action, kernel, horizon: int,
     policy.reverse()
     total = values[initial_state][initial_memory]
     return policy, total / horizon
+
+
+def best_response_dense(ngame, sigma, horizon: int):
+    """Float twin of best_response_public that contracts the whole dense
+    kernel with four einsums at every stage.  Returns (BestResponse, gap):
+    gap[t-1, z, m] is the distance from the least q value to the next one,
+    the margin by which the chosen action wins."""
+    sigma.check_horizon(horizon)
+    game = ngame.game
+    sigma.check_game(game)
+    nz, nj = game.n_states, game.n_actions2
+    m_states = sigma.memory_states
+    if horizon * nz * m_states > MAX_TABLE_BYTES:  # one int8 per (t, z, m)
+        raise ValueError(f"a {horizon}-stage best response needs a "
+                         f"{horizon * nz * m_states:.3g}-byte policy, over "
+                         f"the {MAX_TABLE_BYTES}-byte limit")
+    policy = np.zeros((horizon, nz, m_states), dtype=np.int8)
+    gap = np.full((horizon, nz, m_states), np.inf)
+    values = np.zeros((nz, m_states))
+    for t in range(horizon, 0, -1):
+        act = stage_row(sigma.action, t)         # (M, I)
+        ker = stage_row(sigma.memory_kernel, t)  # (M, I, J, Z, M')
+        cont = np.einsum("mijwn,wn->mijw", ker, values)
+        expected = np.einsum("zijw,mijw->zmij", game.transition, cont)
+        stage = np.einsum("mi,zij->zmj", act, game.payoff)
+        q = stage + np.einsum("mi,zmij->zmj", act, expected)
+        policy[t - 1] = (nj - 1) - q[:, :, ::-1].argmin(axis=2)
+        values = q.min(axis=2)
+        if nj > 1:
+            gap[t - 1] = np.sort(q, axis=2)[:, :, 1] - values
+    z0 = game.initial_state
+    return BestResponse(policy=policy,
+                        value=float(values[z0, 0]) / horizon), gap
 
 
 def move_law(config, level: int, payoff: float, value_next: float):

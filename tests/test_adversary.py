@@ -7,6 +7,7 @@ clocked policies.
 
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from stochgame.adversary import (BestResponseAdversary, MarkovAdversary,
 from stochgame.games import stage_row
 
 from conftest import make_rng
-from reference import best_response_exact, move_law
+from reference import best_response_dense, best_response_exact, move_law
 
 
 # ---------------------------------------------------------------- helpers
@@ -254,6 +255,66 @@ def test_float_path_agrees_with_exact(bm):
         br = best_response_public(bm, to_float_table(action, kernel,
                                                      m_states), horizon)
         assert br.value == pytest.approx(float(value), abs=1e-12)
+
+
+def sparse_rows(rng, shape, zero_share=0.3):
+    """Random probability rows along the last axis, about zero_share of the
+    entries zero (never a whole row)."""
+    rows = rng.random(shape) * (rng.random(shape) >= zero_share)
+    rows[..., 0] += rows.sum(axis=-1) == 0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def test_sparse_law_matches_dense_on_counter_table(bm, config, cache, live):
+    """The cap-40 counter table: the same value to 1e-13 and the same
+    live-state policy as the dense four-einsum loop.  Absorbing states are
+    left out: there both columns pay alike and round-off picks the action."""
+    tab = from_counter_strategy(bm, config, cache, 40, 2000)
+    br = best_response_public(bm, tab, 2000)
+    want, _ = best_response_dense(bm, tab, 2000)
+    assert br.value == pytest.approx(want.value, rel=1e-13)
+    np.testing.assert_array_equal(br.policy[:, live], want.policy[:, live])
+
+
+@pytest.mark.parametrize("action_rows,kernel_rows",
+                         [(5, 5), (5, 1), (1, 5)])
+def test_sparse_law_matches_dense_on_general_game(action_rows, kernel_rows):
+    """Three states, three actions each, per-stage and stationary rows in
+    every combination, so the law is rebuilt whenever either row changes.
+    Policies must agree wherever the dense loop's winner leads by > 1e-9."""
+    rng = make_rng(34 + 10 * action_rows + kernel_rows)
+    nz = ni = nj = 3
+    m_states, horizon = 4, 5
+    game = normalize_payoffs(GameSpec(
+        states=("a", "b", "c"), actions1=("x", "y", "w"),
+        actions2=("p", "q", "r"), payoff=rng.random((nz, ni, nj)),
+        transition=sparse_rows(rng, (nz, ni, nj, nz)), initial_state=0))
+    for _ in range(3):
+        tab = PublicMemoryStrategyTable(
+            memory_states=m_states, horizon=horizon,
+            action=sparse_rows(rng, (action_rows, m_states, ni)),
+            memory_kernel=sparse_rows(
+                rng, (kernel_rows, m_states, ni, nj, nz, m_states)))
+        br = best_response_public(game, tab, horizon)
+        want, gap = best_response_dense(game, tab, horizon)
+        assert br.value == pytest.approx(want.value, rel=1e-13)
+        clear = gap > 1e-9
+        assert clear.mean() > 0.9
+        np.testing.assert_array_equal(br.policy[clear], want.policy[clear])
+
+
+def test_best_response_memory_bounded_by_kernel(bm, config, cache):
+    """The one-step law is built one source state at a time: at cap 300 the
+    traced peak stays within 1.1 kernels plus the policy.  Building all
+    source states at once would take 1.5 kernels."""
+    tab = from_counter_strategy(bm, config, cache, 300, 50)
+    tracemalloc.start()
+    try:
+        br = best_response_public(bm, tab, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * tab.memory_kernel.nbytes + br.policy.nbytes
 
 
 def test_best_response_rejects_mismatched_table(bm):

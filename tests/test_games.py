@@ -5,7 +5,8 @@ import pytest
 
 from stochgame import GameSpec, GameValidationError, big_match, load_game, \
     normalize_payoffs, save_game, validate_game
-from stochgame.games import is_absorbing, sample_rows, transition_cdf
+from stochgame.games import (PROB_TOL, is_absorbing, sample_rows,
+                             transition_cdf)
 
 from conftest import make_rng
 
@@ -179,6 +180,27 @@ def test_sample_index_rule():
     # one row per draw, and a row total short of 1 never overflows
     rows = np.array([[0.2, 0.5, 1.0], [0.5, 1.0, 1.0], [0.3, 0.6, 0.9]])
     assert sample_rows(rows, np.array([0.5, 0.5, 0.95])).tolist() == [2, 1, 2]
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_sample_rows_counts_as_the_reduction_did(width):
+    """The per-column count equals the old bool reduction over the row,
+    bit for bit: on rows with -PROB_TOL entries, whose cumulative rows are
+    not monotone, and on draws that equal a cumulative entry exactly."""
+    rng = make_rng(60 + width)
+    rows = rng.dirichlet(np.ones(width), size=(64, 32))
+    dip = rng.random(rows.shape) < 0.2
+    rows[dip] = -PROB_TOL
+    cum = np.cumsum(rows, axis=-1)
+    u = rng.random(cum.shape[:-1])
+    ties = rng.random(u.shape) < 0.5
+    pick = rng.integers(0, width, size=u.shape)
+    u[ties] = np.take_along_axis(cum, pick[..., None], axis=-1)[ties, 0]
+    want = np.minimum((u[..., None] >= cum).sum(axis=-1), width - 1)
+    got = sample_rows(cum, u)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert sample_rows(cum[0, 0], u[0, 0]) == want[0, 0]  # one scalar draw
 
 
 def test_transition_cdf_rows_end_at_one(bm_game):

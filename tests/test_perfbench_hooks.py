@@ -44,3 +44,24 @@ def test_traced_job_counts_adversary_components(tmp_path):
     assert layers["adversary.components"] == 41
     assert layers["adversary.distinct_components"] == 2
     assert layers["adversary.stored_cells"] == 80000
+
+
+def test_best_response_job_passes_its_checks(tmp_path):
+    """The benchmark's best-response job runs from the source checkout and
+    every check on its outputs passes, among them the oracle that replays
+    the stored policy by forward evaluation against the stored table."""
+    job = subprocess.run(
+        [sys.executable, "perfbench/job.py", "--workload", "mc-best-response",
+         "--seed", "1", "--out", str(tmp_path)],
+        cwd=ROOT, env=source_env(), capture_output=True, text=True,
+        timeout=120)
+    assert job.returncode == 0, job.stderr
+    code = ("import json, sys; sys.path.insert(0, 'perfbench'); "
+            "import checks; print(json.dumps(checks.run_checks("
+            f"'mc-best-response', {str(tmp_path)!r})))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=source_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results and all(ok for _, ok, _ in results), results
