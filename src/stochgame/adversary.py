@@ -220,8 +220,10 @@ def best_response_public(ngame: NormalizedGame,
             rows, cols, coef = map(np.concatenate, zip(*parts))
         q = stage + np.bincount(rows, coef * values.ravel()[cols],
                                 stage.size).reshape(stage.shape)
-        policy[t - 1] = (nj - 1) - q[:, :, ::-1].argmin(axis=2)
-        values = q.min(axis=2)
+        values = q[:, :, 0]
+        for j in range(1, nj):  # <= hands ties to the higher index
+            policy[t - 1][q[:, :, j] <= values] = j
+            values = np.minimum(values, q[:, :, j])
     return BestResponse(policy=policy,
                         value=float(values[game.initial_state, 0]) / horizon)
 
@@ -428,32 +430,24 @@ class WorthlessnessResult:
     certificate: WorthlessnessCertificate
 
 
-def _forward_pass(a, c, kc0, kc1, ones, horizon):
+def _forward_pass(a, c, kc0, kc1, ones):
     """Exact occupancy recursion for one pure clocked adversary.
 
-    a[t-1, m]/c[t-1, m]: absorb/continue action probabilities (a single
-    row when stationary); kc0/kc1: memory kernels under continue and
-    columns 0/1; ones: (T, M) bool, True where the adversary plays 1.
+    a[t-1, m]/c[t-1, m]: absorb/continue action probabilities and
+    kc0/kc1[t-1, m, m']: memory kernels under continue and columns 0/1,
+    one row per stage; ones: (T, M) bool, True where the adversary plays 1.
     Returns (occupancy Q, per-stage absorb-at-zero masses, stage payoffs).
     """
-    occupancy = np.zeros((horizon, a.shape[1]))
+    occupancy = np.zeros(ones.shape)
     occupancy[0, 0] = 1.0
-    absorb1 = np.zeros(horizon)
-    absorb0 = np.zeros(horizon)
-    live_pay = np.zeros(horizon)
-    for t in range(horizon):
-        q = occupancy[t]
-        mask = ones[t]
-        absorb_mass = q * stage_row(a, t + 1)
-        absorb1[t] = absorb_mass[mask].sum()
-        absorb0[t] = absorb_mass[~mask].sum()
-        cont_mass = q * stage_row(c, t + 1)
-        live_pay[t] = cont_mass[~mask].sum()  # continue vs column 0 pays 1
-        if t + 1 < horizon:
-            k_eff = np.where(mask[:, None], stage_row(kc1, t + 1),
-                             stage_row(kc0, t + 1))
-            occupancy[t + 1] = cont_mass @ k_eff
-    payoffs = np.cumsum(absorb1) + live_pay
+    for t in range(len(occupancy) - 1):
+        occupancy[t + 1] = (occupancy[t] * c[t]) @ np.where(
+            ones[t, :, None], kc1[t], kc0[t])
+    absorb = occupancy * a
+    absorb0 = absorb.sum(axis=1, where=~ones)
+    payoffs = np.cumsum(absorb.sum(axis=1, where=ones))
+    # continue vs column 0 pays 1
+    payoffs += np.multiply(occupancy, c, out=absorb).sum(axis=1, where=~ones)
     return occupancy, absorb0, payoffs
 
 
@@ -481,7 +475,7 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     idx = big_match_indices(ngame)
     sigma.check_game(ngame.game)
     m_states = sigma.memory_states
-    need = 8 * horizon * m_states  # int64 map; occupancy and a_full match it
+    need = 8 * horizon * m_states  # int64 map; the occupancy matches it
     if need > MAX_TABLE_BYTES:
         raise ValueError(f"horizon {horizon} needs a {need:.3g}-byte mixture "
                          f"map, over the {MAX_TABLE_BYTES}-byte limit; the "
@@ -490,12 +484,14 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     n_components = (1 if delta >= 1.0
                     else int(np.floor((m_states + 1) / delta)) + 1)
 
-    a = sigma.action[:, :, idx.absorb_action]
-    c = sigma.action[:, :, idx.continue_action]
-    kern = sigma.memory_kernel
-    kc0 = kern[:, :, idx.continue_action, idx.col_zero, idx.live, :]
-    kc1 = kern[:, :, idx.continue_action, idx.col_one, idx.live, :]
-    a_full = a[np.minimum(np.arange(horizon), len(a) - 1)]  # stage_row per t
+    def per_stage(x):  # one row per stage 1..horizon, stationary or not
+        return np.broadcast_to(x[:horizon], (horizon,) + x.shape[1:])
+
+    a = per_stage(sigma.action[:, :, idx.absorb_action])
+    c = per_stage(sigma.action[:, :, idx.continue_action])
+    kern = per_stage(
+        sigma.memory_kernel[:, :, idx.continue_action, :, idx.live])
+    kc0, kc1 = kern[:, :, idx.col_zero], kern[:, :, idx.col_one]
 
     first = np.full((horizon, m_states), n_components, dtype=np.int64)
     switch_stages: list[int] = []
@@ -505,46 +501,44 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
 
     for comp_index in range(n_components):
         ones = first <= comp_index
-        occupancy, absorb0, payoffs = _forward_pass(
-            a, c, kc0, kc1, ones, horizon)
+        occupancy, absorb0, payoffs = _forward_pass(a, c, kc0, kc1, ones)
         stage_payoffs.append(payoffs)
-        budgets.append(float(a_full[ones].sum()))
+        budgets.append(float(a[ones].sum()))
         if comp_index == n_components - 1:
             break
 
-        hot = payoffs >= delta  # stages still collecting delta
-        selection = np.full(horizon, -1, dtype=np.int64)
+        # each hot stage takes its heaviest unused cell; used cells read -1
+        hot = np.flatnonzero(payoffs >= delta)
+        np.copyto(occupancy, -1.0, where=ones)
+        pick = occupancy.argmax(axis=1)[hot]
         threshold = delta / (3.0 * m_states)
-        for t in np.flatnonzero(hot):
-            masked = np.where(ones[t], -1.0, occupancy[t])
-            m_best = int(masked.argmax())
-            if masked[m_best] < threshold:
-                raise WorthlessnessError(
-                    f"internal invariant violated at stage {t + 1}: no unused "
-                    f"memory with occupancy >= delta/(3M) = {threshold:g} "
-                    f"although the stage payoff is {payoffs[t]:.6g}")
-            selection[t] = m_best
+        short = np.flatnonzero(occupancy[hot, pick] < threshold)
+        if short.size:
+            t = hot[short[0]]
+            raise WorthlessnessError(
+                f"internal invariant violated at stage {t + 1}: no unused "
+                f"memory with occupancy >= delta/(3M) = {threshold:g} "
+                f"although the stage payoff is {payoffs[t]:.6g}")
 
-        base_budget = budgets[-1]
         add_cost = np.zeros(horizon)
-        sel_t = np.flatnonzero(selection >= 0)
-        add_cost[sel_t] = a_full[sel_t, selection[sel_t]]
-        suffix_cost = np.cumsum(add_cost[::-1])[::-1]
+        add_cost[hot] = a[hot, pick]
+        # the budget if the cells from stage t on join the one-set
+        budget_from = budgets[-1] + np.cumsum(add_cost[::-1])[::-1]
         tail0 = np.concatenate([np.cumsum(absorb0[::-1])[::-1][1:], [0.0]])
         feasible = np.flatnonzero(
-            (base_budget + suffix_cost < delta / 3.0) & (tail0 < TAIL_TOL))
+            (budget_from < delta / 3.0) & (tail0 < TAIL_TOL))
         if feasible.size == 0:  # tail0[-1] is 0, so the budget binds
             raise WorthlessnessError(
                 f"horizon {horizon} too short for component {comp_index + 2}"
                 f": binding constraint is absorb-action budget "
-                f"({base_budget + suffix_cost[-1]:.6g} vs {delta / 3:.6g})")
+                f"({budget_from[-1]:.6g} vs {delta / 3:.6g})")
         n_i = int(feasible[0]) + 1
         switch_stages.append(n_i)
         tails.append(float(tail0[n_i - 1]))
-        added = sel_t[sel_t + 1 >= n_i]
-        if added.size == 0:
+        late = hot + 1 >= n_i
+        if not late.any():
             break  # the one-set is final: every later step would repeat it
-        first[added, selection[added]] = comp_index + 1
+        first[hot[late], pick[late]] = comp_index + 1
 
     rows = np.array(stage_payoffs)
     total = rows.sum() + (n_components - len(rows)) * rows[-1].sum()

@@ -6,7 +6,10 @@ from fractions import Fraction
 import numpy as np
 
 from stochgame import counter, solve_matrix_game
-from stochgame.adversary import MAX_TABLE_BYTES, BestResponse
+from stochgame.adversary import (MAX_TABLE_BYTES, TAIL_TOL, BestResponse,
+                                 MixedClockedAdversary,
+                                 WorthlessnessCertificate, WorthlessnessError,
+                                 WorthlessnessResult, big_match_indices)
 from stochgame.games import stage_row
 
 
@@ -215,3 +218,110 @@ def counter_reach_probability(ngame, config, cache, levels, horizon: int,
                 else np.einsum("mzjk,zj->mzk", q, column_mix))
         v[:top] = np.where(live, best, 1.0)
     return out
+
+
+def _forward_pass(a, c, kc0, kc1, ones, horizon):
+    """Exact occupancy recursion for one pure clocked adversary, one stage
+    at a time.
+
+    a[t-1, m]/c[t-1, m]: absorb/continue action probabilities (a single
+    row when stationary); kc0/kc1: memory kernels under continue and
+    columns 0/1; ones: (T, M) bool, True where the adversary plays 1.
+    Returns (occupancy Q, per-stage absorb-at-zero masses, stage payoffs).
+    """
+    occupancy = np.zeros((horizon, a.shape[1]))
+    occupancy[0, 0] = 1.0
+    absorb1 = np.zeros(horizon)
+    absorb0 = np.zeros(horizon)
+    live_pay = np.zeros(horizon)
+    for t in range(horizon):
+        q = occupancy[t]
+        mask = ones[t]
+        absorb_mass = q * stage_row(a, t + 1)
+        absorb1[t] = absorb_mass[mask].sum()
+        absorb0[t] = absorb_mass[~mask].sum()
+        cont_mass = q * stage_row(c, t + 1)
+        live_pay[t] = cont_mass[~mask].sum()  # continue vs column 0 pays 1
+        if t + 1 < horizon:
+            k_eff = np.where(mask[:, None], stage_row(kc1, t + 1),
+                             stage_row(kc0, t + 1))
+            occupancy[t + 1] = cont_mass @ k_eff
+    payoffs = np.cumsum(absorb1) + live_pay
+    return occupancy, absorb0, payoffs
+
+
+def worthlessness_reference(ngame, sigma, delta: float, horizon: int):
+    """Per-stage twin of build_worthlessness_adversary: the forward pass
+    and the cell selection walk the stages one at a time.  Returns the same
+    WorthlessnessResult."""
+    idx = big_match_indices(ngame)
+    m_states = sigma.memory_states
+    n_components = (1 if delta >= 1.0
+                    else int(np.floor((m_states + 1) / delta)) + 1)
+
+    a = sigma.action[:, :, idx.absorb_action]
+    c = sigma.action[:, :, idx.continue_action]
+    kern = sigma.memory_kernel
+    kc0 = kern[:, :, idx.continue_action, idx.col_zero, idx.live, :]
+    kc1 = kern[:, :, idx.continue_action, idx.col_one, idx.live, :]
+    a_full = a[np.minimum(np.arange(horizon), len(a) - 1)]  # stage_row per t
+
+    first = np.full((horizon, m_states), n_components, dtype=np.int64)
+    switch_stages: list[int] = []
+    budgets: list[float] = []
+    tails: list[float] = []
+    stage_payoffs: list[np.ndarray] = []
+
+    for comp_index in range(n_components):
+        ones = first <= comp_index
+        occupancy, absorb0, payoffs = _forward_pass(
+            a, c, kc0, kc1, ones, horizon)
+        stage_payoffs.append(payoffs)
+        budgets.append(float(a_full[ones].sum()))
+        if comp_index == n_components - 1:
+            break
+
+        hot = payoffs >= delta  # stages still collecting delta
+        selection = np.full(horizon, -1, dtype=np.int64)
+        threshold = delta / (3.0 * m_states)
+        for t in np.flatnonzero(hot):
+            masked = np.where(ones[t], -1.0, occupancy[t])
+            m_best = int(masked.argmax())
+            if masked[m_best] < threshold:
+                raise WorthlessnessError(
+                    f"internal invariant violated at stage {t + 1}: no unused "
+                    f"memory with occupancy >= delta/(3M) = {threshold:g} "
+                    f"although the stage payoff is {payoffs[t]:.6g}")
+            selection[t] = m_best
+
+        base_budget = budgets[-1]
+        add_cost = np.zeros(horizon)
+        sel_t = np.flatnonzero(selection >= 0)
+        add_cost[sel_t] = a_full[sel_t, selection[sel_t]]
+        suffix_cost = np.cumsum(add_cost[::-1])[::-1]
+        tail0 = np.concatenate([np.cumsum(absorb0[::-1])[::-1][1:], [0.0]])
+        feasible = np.flatnonzero(
+            (base_budget + suffix_cost < delta / 3.0) & (tail0 < TAIL_TOL))
+        if feasible.size == 0:  # tail0[-1] is 0, so the budget binds
+            raise WorthlessnessError(
+                f"horizon {horizon} too short for component {comp_index + 2}"
+                f": binding constraint is absorb-action budget "
+                f"({base_budget + suffix_cost[-1]:.6g} vs {delta / 3:.6g})")
+        n_i = int(feasible[0]) + 1
+        switch_stages.append(n_i)
+        tails.append(float(tail0[n_i - 1]))
+        added = sel_t[sel_t + 1 >= n_i]
+        if added.size == 0:
+            break  # the one-set is final: every later step would repeat it
+        first[added, selection[added]] = comp_index + 1
+
+    rows = np.array(stage_payoffs)
+    total = rows.sum() + (n_components - len(rows)) * rows[-1].sum()
+    certificate = WorthlessnessCertificate(
+        delta=delta, horizon=horizon, memory_states=m_states,
+        n_components=n_components, switch_stages=tuple(switch_stages),
+        budgets=tuple(budgets), tails=tuple(tails), stage_payoffs=rows,
+        mixture_avg_payoff=float(total / (n_components * horizon)))
+    return WorthlessnessResult(
+        mixture=MixedClockedAdversary(first, n_components, idx),
+        certificate=certificate)

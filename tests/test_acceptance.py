@@ -393,9 +393,9 @@ def test_criterion_08_best_response_oracle(bm):
 # ---------------------------------------------------------------------- 9
 
 def test_criterion_09_worthlessness(bm, config, cache):
-    """Both reference tables at delta = 0.1, horizon 1e4: the simulated
-    mixture payoff is at most 3*delta + 3SE and certified stages never use
-    more than M+1 selected cells."""
+    """Both reference tables at delta = 0.1, horizon 1e4: the exact mixture
+    payoff is below 3*delta, the simulated one is at most 3*delta + 3SE,
+    and certified stages never use more than M+1 selected cells."""
     t0 = time.perf_counter()
     delta, horizon, reps = 0.1, 10_000, 2_000
 
@@ -410,6 +410,7 @@ def test_criterion_09_worthlessness(bm, config, cache):
         res = build_worthlessness_adversary(bm, table, delta, horizon)
         cert = res.certificate
         assert cert.max_exceed_count <= cert.memory_states + 1
+        assert cert.mixture_avg_payoff < 3 * delta, (name, cert)
         stats = monte_carlo(bm, TableStrategy(table), res.mixture, horizon,
                             reps, 409, checkpoints=(horizon,))
         mean = stats.mean_avg_payoff[horizon]

@@ -27,7 +27,8 @@ from stochgame.adversary import (BestResponseAdversary, MarkovAdversary,
 from stochgame.games import stage_row
 
 from conftest import make_rng
-from reference import best_response_dense, best_response_exact, move_law
+from reference import (best_response_dense, best_response_exact, move_law,
+                       worthlessness_reference)
 
 
 # ---------------------------------------------------------------- helpers
@@ -184,6 +185,24 @@ def test_horizon_one_closed_form(bm, live):
         br = best_response_public(bm, stationary_table(a), 1)
         assert br.value == pytest.approx(want_value, abs=1e-12)
         assert br.policy[0, live, 0] == want_action
+
+
+@pytest.mark.parametrize("columns, want", [((0.0, 1.0, 0.0), 2),
+                                           ((0.0, 0.0, 1.0), 1),
+                                           ((1.0, 0.0, 1.0), 1)])
+def test_ties_go_to_the_higher_column(columns, want):
+    """Three columns, one state: among the columns that pay least, the
+    policy plays the one with the highest index at every stage."""
+    game = normalize_payoffs(GameSpec(
+        states=("a",), actions1=("x", "y"), actions2=("p", "q", "r"),
+        payoff=np.array([[columns, columns]]),
+        transition=np.ones((1, 2, 3, 1)), initial_state=0))
+    tab = PublicMemoryStrategyTable(
+        memory_states=1, horizon=None, action=np.array([[[0.5, 0.5]]]),
+        memory_kernel=np.ones((1, 1, 2, 3, 1, 1)))
+    br = best_response_public(game, tab, 3)
+    assert np.all(br.policy == want)
+    assert br.value == 0.0
 
 
 def test_always_continue_is_worthless_to_respond_to(bm, live):
@@ -550,6 +569,69 @@ def test_worthlessness_certificate_lines(bm):
         "eventual-payoff witness (best component, late window): 0 "
         "(target <= delta = 0.05)",
     ]
+
+
+def random_stage_table(seed, m_states, horizon):
+    """Per-stage table that absorbs with probability below 0.002 and moves
+    the memory by random dense rows."""
+    rng = make_rng(seed)
+    absorb = 0.002 * rng.random((horizon, m_states))
+    return PublicMemoryStrategyTable(
+        memory_states=m_states, horizon=horizon,
+        action=np.stack([absorb, 1.0 - absorb], axis=-1),
+        memory_kernel=rng.dirichlet(np.full(m_states, 0.5),
+                                    size=(horizon, m_states, 2, 2, 3)))
+
+
+@pytest.mark.parametrize("kind, size", [("always-c", 1), ("cap", 1),
+                                        ("cap", 8), ("cap", 32),
+                                        ("random", 5), ("random", 12)])
+def test_worthlessness_matches_per_stage_reference(bm, config, cache, kind,
+                                                   size):
+    """The whole-array builder and the per-stage reference choose the same
+    cells, switch stages and budgets.  Stage payoffs and tails are
+    bit-equal on the always-continue and counter tables.  On random
+    per-stage tables the masked row sums group the cells by contiguous runs
+    while the reference sums the compacted cells, so the last bit may
+    differ there, within a tolerance set from the float64 epsilon."""
+    horizon = 400 if kind == "random" else 3000
+    if kind == "always-c":
+        tab, delta = stationary_table(0.0), 0.05
+    elif kind == "cap":
+        tab, delta = from_counter_strategy(bm, config, cache, size,
+                                           horizon), 0.1
+    else:
+        tab, delta = random_stage_table(160 + size, size, horizon), 0.1
+    got = build_worthlessness_adversary(bm, tab, delta, horizon)
+    want = worthlessness_reference(bm, tab, delta, horizon)
+    np.testing.assert_array_equal(got.mixture.first, want.mixture.first)
+    cert, ref = got.certificate, want.certificate
+    assert cert.switch_stages == ref.switch_stages
+    assert cert.budgets == ref.budgets
+    assert cert.lines() == ref.lines()
+    if kind == "random":
+        assert len(cert.budgets) > 2  # several enlargement steps
+        tol = 64 * np.finfo(np.float64).eps
+        np.testing.assert_allclose(cert.tails, ref.tails, rtol=tol)
+        np.testing.assert_allclose(cert.stage_payoffs, ref.stage_payoffs,
+                                   rtol=tol, atol=tol)
+    else:
+        assert cert.tails == ref.tails
+        assert cert.stage_payoffs.tobytes() == ref.stage_payoffs.tobytes()
+
+
+def test_worthlessness_memory_bounded_by_map(bm, config, cache):
+    """At cap 16 and T 2e4 the builder's traced peak is at most 3.6 times
+    the 8*T*M-byte map; one more (T, M) float array would take it past."""
+    horizon = 20_000
+    tab = from_counter_strategy(bm, config, cache, 16, horizon)
+    tracemalloc.start()
+    try:
+        build_worthlessness_adversary(bm, tab, 0.1, horizon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * 8 * horizon * tab.memory_states
 
 
 # ----------------------------------------------------- engine adapters

@@ -363,7 +363,25 @@ def test_impossibility_always_continue(tmp_path, capsys):
     assert doc["components"][0] == []  # the all-zeros component
     report = (tmp_path / "impossibility_report.txt").read_text()
     assert "certification gamma_T <= 3*delta + 3*SE: PASS" in report
+    assert ("exact certification (mixture average < 3*delta, every check "
+            "PASS): PASS") in report
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_impossibility_exact_average_above_bound_exits_three(tmp_path, seed):
+    """At cap 16 and T 11000 the exact mixture average is 0.302086, above
+    3*delta = 0.3.  The simulated mean clears its 3 SE line, but the exact
+    verdict fails, so the run exits 3."""
+    code = run_cli(["impossibility", "--wrap-counter-cap", "16",
+                    "--delta", "0.1", "--horizon", "11000",
+                    "--replications", "100", "--seed", str(seed)], tmp_path)
+    assert code == 3
+    report = (tmp_path / "impossibility_report.txt").read_text()
+    assert "exact mixture average payoff at horizon: 0.302086" in report
+    assert "certification gamma_T <= 3*delta + 3*SE: PASS" in report
+    assert ("exact certification (mixture average < 3*delta, every check "
+            "PASS): FAIL") in report
 
 
 def test_impossibility_delta_range(tmp_path, capsys):

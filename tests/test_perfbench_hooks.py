@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stochgame
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,19 +48,22 @@ def test_traced_job_counts_adversary_components(tmp_path):
     assert layers["adversary.stored_cells"] == 80000
 
 
-def test_best_response_job_passes_its_checks(tmp_path):
-    """The benchmark's best-response job runs from the source checkout and
-    every check on its outputs passes, among them the oracle that replays
-    the stored policy by forward evaluation against the stored table."""
+@pytest.mark.parametrize("workload", ["mc-best-response", "impossibility"])
+def test_best_response_job_passes_its_checks(tmp_path, workload):
+    """The benchmark's best-response and impossibility jobs run from the
+    source checkout and every check on their outputs passes: among them the
+    oracle that replays the stored policy by forward evaluation against the
+    stored table, the exact mixture-payoff oracle on adversary.json, and
+    the regexes that read the impossibility report."""
     job = subprocess.run(
-        [sys.executable, "perfbench/job.py", "--workload", "mc-best-response",
+        [sys.executable, "perfbench/job.py", "--workload", workload,
          "--seed", "1", "--out", str(tmp_path)],
         cwd=ROOT, env=source_env(), capture_output=True, text=True,
         timeout=120)
     assert job.returncode == 0, job.stderr
     code = ("import json, sys; sys.path.insert(0, 'perfbench'); "
             "import checks; print(json.dumps(checks.run_checks("
-            f"'mc-best-response', {str(tmp_path)!r})))")
+            f"{workload!r}, {str(tmp_path)!r})))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           env=source_env(), capture_output=True, text=True,
                           timeout=60)
