@@ -581,15 +581,19 @@ class MixedClockedAdversary(Adversary):
         return np.where(comp >= first, self.indices.col_one,
                         self.indices.col_zero)
 
+    def cells(self, c: int) -> np.ndarray:
+        """Component c's one-set as (t, m) rows in row-major order."""
+        return np.argwhere(self.first <= c) + (1, 0)
+
     @cached_property
     def components(self) -> tuple[PureClockedAdversary, ...]:
         """Each component's one-set as (t, m) cells; components with equal
         sets share one object."""
-        n = self.n_components
+        grows = set(np.unique(self.first).tolist())  # where a set gains cells
         comps: list[PureClockedAdversary] = []
-        comp = PureClockedAdversary(frozenset())
-        for c in np.unique(self.first[self.first < n]).tolist():
-            comps += [comp] * (c - len(comps))
-            comp = PureClockedAdversary(comp.ones | {
-                (int(t) + 1, int(m)) for t, m in np.argwhere(self.first == c)})
-        return tuple(comps + [comp] * (n - len(comps)))
+        for c in range(self.n_components):
+            if c in grows or not comps:
+                cells = map(tuple, self.cells(c).tolist())
+                comp = PureClockedAdversary(frozenset(cells))
+            comps.append(comp)
+        return tuple(comps)

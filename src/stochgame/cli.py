@@ -212,14 +212,13 @@ def cmd_impossibility(args) -> int:
 
     adv_path = _out_path(args, "adversary.json")
     with open(adv_path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "delta": delta,
-            "horizon": horizon,
-            "M": cert.memory_states,
-            "components": [sorted(map(list, c.ones))
-                           for c in result.mixture.components],
-        }, fh)
-        fh.write("\n")
+        # json.dump's layout, one component's cell list at a time
+        fh.write(f'{{"delta": {delta!r}, "horizon": {horizon}, '
+                 f'"M": {cert.memory_states}, "components": [')
+        for c in range(result.mixture.n_components):
+            fh.write(", " if c else "")
+            json.dump(result.mixture.cells(c).tolist(), fh)
+        fh.write("]}\n")
     report_path = _out_path(args, "impossibility_report.txt")
     lines = cert_lines + [
         f"simulated mixture average payoff: {fmt(sim_mean)} "

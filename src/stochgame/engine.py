@@ -159,8 +159,10 @@ class RunStatistics:
     payoff_se is its sample-sd/sqrt(replications).  Memory fields are only
     populated when the simulated strategy carries a counter config:
     exceed_rate[n] is the fraction of replications whose running max memory
-    reached memory_slope*ln n, uniform_exceed_rate the fraction for which
-    some stage n had memory above min_horizon + memory_slope*ln n.
+    reached memory_slope*ln n, uniform_exceed_rate the fraction whose max
+    memory by the last checkpoint passed min_horizon, the least value of
+    min_horizon + memory_slope*ln n; 0 for the counter, whose level cannot
+    pass config.last_level < min_horizon.
     Payoffs are in the normalized [0, 1] units of the NormalizedGame played.
     """
 
@@ -196,7 +198,6 @@ def _quantiles_from_hist(hist: np.ndarray, total: int) -> dict[float, int]:
 class _ChunkResult:
     # per checkpoint: (sum of average payoffs, sum of squares, max-memory hist)
     records: list[tuple[float, float, np.ndarray]]
-    uniform_exceed: int
     traces: list[EpisodeTrace]
 
 
@@ -210,9 +211,8 @@ def _merge_hists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                     base_seed: int, rep_start: int, rep_count: int,
-                    checkpoints: tuple[int, ...], stage_curve,
+                    checkpoints: tuple[int, ...],
                     collect_traces: bool) -> _ChunkResult:
-    """stage_curve[t-1]: uniform memory bound at stage t (None: no counter)."""
     game = ngame.game
     nz = game.n_states
     tcdf = transition_cdf(game)
@@ -229,7 +229,6 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
     k = np.zeros(rep_count, dtype=np.int64)
     pay_sum = np.zeros(rep_count)
     max_mem = np.zeros(rep_count, dtype=np.int64)
-    uniform_flag = np.zeros(rep_count, dtype=bool)
 
     records = []
     if collect_traces:
@@ -248,8 +247,6 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
         for t in range(start, start + b):
             u = u_block[:, t - start, :]
             np.maximum(max_mem, k, out=max_mem)
-            if stage_curve is not None:
-                uniform_flag |= k > stage_curve[t - 1]
             i = sigma.act(t, z, k, u[:, 0])
             j = tau.act(t, z, k, comp, u[:, 1])
             z_next = sample_rows(tcdf[z, i, j], u[:, 2])
@@ -280,8 +277,7 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
             absorption_stage=int(first[r]) if landed[r, first[r]] else None)
             for r in range(rep_count)]
 
-    return _ChunkResult(records=records,
-                        uniform_exceed=int(uniform_flag.sum()), traces=traces)
+    return _ChunkResult(records=records, traces=traces)
 
 
 def pool_size(workers: int, chunks: int) -> int:
@@ -321,8 +317,6 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     sigma.prepare(horizon)
     tau.prepare(horizon)
     config = sigma.counter_config
-    curve = None if config is None else config.min_horizon + (
-        config.memory_slope * np.log(np.arange(1, horizon + 1.0)))
 
     chunks = [(start, min(CHUNK, replications - start))
               for start in range(0, replications, CHUNK)]
@@ -330,7 +324,7 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     def run(chunk):
         start, count = chunk
         return _simulate_chunk(ngame, sigma, tau, horizon, base_seed, start,
-                               count, checkpoints, curve, False)
+                               count, checkpoints, False)
 
     threads = pool_size(workers, len(chunks))
     if threads > 1:
@@ -343,7 +337,6 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     for res in results[1:]:
         records = [(s + rs, sq + rsq, _merge_hists(h, rh))
                    for (s, sq, h), (rs, rsq, rh) in zip(records, res.records)]
-    uniform_count = sum(res.uniform_exceed for res in results)
 
     n_reps = replications
     mean = {}
@@ -362,13 +355,15 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     exceed_rate = None if config is None else {
         n: float(h[math.ceil(config.memory_slope * math.log(n)):].sum() / n_reps)
         for n, (_, _, h) in zip(checkpoints, records)}
+    deepest = records[-1][2]  # min_horizon can be inf at huge bases
+    uniform_exceed_rate = None if config is None else float(
+        deepest[np.arange(len(deepest)) > config.min_horizon].sum() / n_reps)
 
     return RunStatistics(
         horizon=horizon, replications=n_reps, base_seed=base_seed,
         checkpoints=checkpoints, mean_avg_payoff=mean, payoff_se=se,
         max_memory_quantiles=quantiles, exceed_rate=exceed_rate,
-        uniform_exceed_rate=(float(uniform_count / n_reps)
-                             if config is not None else None))
+        uniform_exceed_rate=uniform_exceed_rate)
 
 
 def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
@@ -388,7 +383,7 @@ def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
     sigma.prepare(horizon)
     tau.prepare(horizon)
     return _simulate_chunk(ngame, sigma, tau, horizon, base_seed, 0,
-                           replications, (), None, True).traces
+                           replications, (), True).traces
 
 
 # ---------------------------------------------------------------------------

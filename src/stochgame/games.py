@@ -165,8 +165,8 @@ def normalize_payoffs(game: GameSpec) -> NormalizedGame:
         offset = -rmin * scale
     mapped = GameSpec(
         states=game.states, actions1=game.actions1, actions2=game.actions2,
-        payoff=scale * r + offset, transition=game.transition,
-        initial_state=game.initial_state)
+        payoff=np.clip(scale * r + offset, 0.0, 1.0),  # the top can round up
+        transition=game.transition, initial_state=game.initial_state)
     return NormalizedGame(game=mapped, scale=scale, offset=offset)
 
 

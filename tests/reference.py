@@ -1,6 +1,8 @@
 """Exact-arithmetic references that the tests compare the library against."""
 
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -325,3 +327,27 @@ def worthlessness_reference(ngame, sigma, delta: float, horizon: int):
     return WorthlessnessResult(
         mixture=MixedClockedAdversary(first, n_components, idx),
         certificate=certificate)
+
+
+def adversary_json_reference(delta: float, horizon: int, memory_states: int,
+                             mixture) -> str:
+    """adversary.json as the CLI once wrote it: each component's one-set
+    grown as a frozenset of (t, m) cells by union over the cells where
+    first equals c, then written sorted.  The CLI's writer, one component
+    at a time, must give the same bytes."""
+    first, n = mixture.first, mixture.n_components
+    comps = []
+    ones = frozenset()
+    for c in np.unique(first[first < n]).tolist():
+        comps += [ones] * (c - len(comps))
+        ones = ones | {(int(t) + 1, int(m)) for t, m in np.argwhere(first == c)}
+    comps += [ones] * (n - len(comps))
+    fh = io.StringIO()
+    json.dump({
+        "delta": delta,
+        "horizon": horizon,
+        "M": memory_states,
+        "components": [sorted(map(list, c)) for c in comps],
+    }, fh)
+    fh.write("\n")
+    return fh.getvalue()

@@ -1,9 +1,10 @@
 """End-to-end acceptance gate.
 
 Eleven numbered checks, each printing one summary line with its measured
-quantities and the tolerance it was held to, and a planted fault that the
-exact memory checks must catch.  Check 7 runs a reduced
-configuration by default; set STOCHGAME_HEAVY=1 for the full-size run
+quantities and the tolerance it was held to; beside check 7, its floor
+checked exactly by coupling the counter with a capped table; and a planted
+fault that the exact memory and guarantee checks must catch.  Check 7 runs
+a reduced configuration by default; set STOCHGAME_HEAVY=1 for the full-size run
 (several hundred replications over millions of stages, on the order of
 fifteen minutes).
 """
@@ -208,8 +209,7 @@ def uniform_memory_hist(bm, config, cache):
     sigma = CounterStrategy(bm, config, cache)
     tau = stationary_adversary(np.full((3, 2), 0.5))
     records = _simulate_chunk(bm, sigma, tau, MEMORY_CHECKPOINTS[-1], 405, 0,
-                              MEMORY_REPS, MEMORY_CHECKPOINTS, None,
-                              False).records
+                              MEMORY_REPS, MEMORY_CHECKPOINTS, False).records
     return [hist for _, _, hist in records]
 
 
@@ -239,12 +239,10 @@ def test_criterion_06_memory_reference_matches_engine(bm, config, cache,
     report(6, f"{len(zs)} tails, worst |z| = {worst:.2f} <= 4")
 
 
-def test_planted_fault_doubled_p_up(bm, config, cache, uniform_memory_hist,
-                                    monkeypatch):
-    """Both exact memory checks fail once the move law's up-probability
-    doubles, with p_stay recomputed.  The doubled law reaches
-    counter.level_table, so the engine's histogram is the module
-    fixture's, drawn before the patch under the true law."""
+def plant_doubled_p_up(monkeypatch) -> None:
+    """The planted fault: the move law's up-probability doubles, with
+    p_stay recomputed.  It reaches counter.level_table, and through it
+    every table the checks read."""
     real = counter.update_distribution
 
     def doubled(config, level, payoff, value_next):
@@ -254,6 +252,14 @@ def test_planted_fault_doubled_p_up(bm, config, cache, uniform_memory_hist,
                             p_down=upd.p_down)
 
     monkeypatch.setattr(counter, "update_distribution", doubled)
+
+
+def test_planted_fault_doubled_p_up(bm, config, cache, uniform_memory_hist,
+                                    monkeypatch):
+    """Both exact memory checks fail once the move law's up-probability
+    doubles.  The engine's histogram is the module fixture's, drawn before
+    the patch under the true law."""
+    plant_doubled_p_up(monkeypatch)
     p = counter_reach_probability(bm, config, cache, (103,), 1_000)[-1, 0]
     assert p > MEMORY_TAIL
     assert memory_ladder_failures(bm, config, cache)
@@ -317,6 +323,66 @@ def test_criterion_07_payoff_floor_full(bm, config, cache):
     assert wall < 3600.0
     report(7, f"full n=4e6 R={reps}: " + ", ".join(details)
               + f", {wall:.0f}s")
+
+
+# ------------------------------------------------------- 7, exact guarantee
+
+# (n, cap C): C + 1 is the least K with worst-case P(level reaches K by
+# stage n) <= MEMORY_TAIL, criterion 5's K(n) at n = 1e4
+GUARANTEE_CAPS = ((10_000, 201), (100_000, 306))
+
+
+def coupling_guarantee(bm, config, cache, n: int, cap: int):
+    """Exact lower bound on the counter's n-stage average payoff against
+    every opponent, returned as (P*, V, V - P*).
+
+    The counter and its cap-C table make the same moves until the level
+    first reaches C + 1, and an opponent that sees the level plays alike in
+    both until then.  Payoffs lie in [0, 1], so inf over opponents of the
+    counter's payoff is at least V - P*: V is the exact best reply's value
+    against the cap-C table, and P* the worst-case probability that the
+    level reaches C + 1 by stage n.
+    """
+    table = from_counter_strategy(bm, config, cache, cap, n)
+    value = best_response_public(bm, table, n).value
+    reach = counter_reach_probability(bm, config, cache, (cap + 1,), n)[n, 0]
+    return reach, value, value - reach
+
+
+@pytest.mark.parametrize("n, cap", GUARANTEE_CAPS)
+def test_criterion_07_exact_guarantee(bm, config, cache, n, cap):
+    """The paper's positive claim, checked exactly at n = 1e4 and 1e5: the
+    counter guarantees at least 1/2 - epsilon against every opponent."""
+    t0 = time.perf_counter()
+    reach, value, guarantee = coupling_guarantee(bm, config, cache, n, cap)
+    floor = 0.5 - config.epsilon
+    assert guarantee >= floor, (reach, value)
+    wall = time.perf_counter() - t0
+    report(7, f"exact n={n} cap {cap}: P* {reach:.3e}, V {value:.7f}, "
+              f"guarantee {guarantee:.4f} >= {floor:.2f} (margin "
+              f"{guarantee - floor:.4f}), {wall:.1f}s")
+
+
+def test_planted_fault_fails_exact_guarantee(bm, config, cache, monkeypatch):
+    """With p_up doubled the level runs past the cap: P* rises to about
+    0.91 and the guarantee at n = 1e4 falls below the floor."""
+    plant_doubled_p_up(monkeypatch)
+    n, cap = GUARANTEE_CAPS[0]
+    reach, _, guarantee = coupling_guarantee(bm, config, cache, n, cap)
+    assert guarantee < 0.5 - config.epsilon
+    print(f"[planted fault] doubled p_up: P*(n={n}, K={cap + 1}) = "
+          f"{reach:.4f}, guarantee {guarantee:.3f}")
+
+
+def test_exact_best_reply_within_mixture_average(bm, config, cache):
+    """The exact best reply to a table does at least as well for player 2
+    as the worthlessness mixture built against it: cap 16, T 11000."""
+    delta, horizon = 0.1, 11_000
+    table = from_counter_strategy(bm, config, cache, 16, horizon)
+    value = best_response_public(bm, table, horizon).value
+    cert = build_worthlessness_adversary(bm, table, delta,
+                                         horizon).certificate
+    assert value <= cert.mixture_avg_payoff, (value, cert.mixture_avg_payoff)
 
 
 # ---------------------------------------------------------------------- 8

@@ -644,6 +644,7 @@ def test_mixed_clocked_act_matches_components(bm):
                                  indices)
     assert [c.ones for c in hand.components] == [
         {(1, 0)}, {(1, 0), (2, 1)}, {(1, 0), (2, 1), (2, 0)}]
+    assert hand.cells(2).tolist() == [[1, 0], [2, 0], [2, 1]]  # row-major
     built = build_worthlessness_adversary(bm, stationary_table(0.0),
                                           delta=0.05, horizon=2000).mixture
     for mix in (hand, built):

@@ -9,7 +9,9 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ import stochgame
 from stochgame import (GameSpec, PublicMemoryStrategyTable, big_match, cli,
                        save_game, save_strategy_table)
 
-from conftest import big_match_paying
+from conftest import big_match_paying, make_rng
+from reference import adversary_json_reference
 
 SUBPROCESS_TIMEOUT = 60  # seconds; a hung child fails the test
 
@@ -163,6 +166,22 @@ def test_simulate_and_trace_report_game_units(tmp_path, capsys):
     assert set(x.tolist()) == {-1.0, 1.0}
     np.testing.assert_array_equal(x, 2 * _csv_column(plain / "trace.csv",
                                                      "x") - 1)
+
+
+@pytest.mark.parametrize("adversary", ["uniform", "best-response"])
+def test_simulate_game_whose_top_payoff_rounds_up(tmp_path, capsys,
+                                                  adversary):
+    """Normalizing this Big Match maps its top payoff to 1 + 1 ulp before
+    clipping; the counter then rejected the game with exit 2."""
+    game = big_match()
+    lo, hi = 4.116305363741328, 10.425133694426776
+    save_game(GameSpec(game.states, game.actions1, game.actions2,
+                       np.where(game.payoff == 1.0, hi, lo), game.transition,
+                       game.initial_state), str(tmp_path / "g.json"))
+    assert run_cli(["simulate", "--game", str(tmp_path / "g.json"),
+                    "--adversary", adversary, "--horizon", "50",
+                    "--replications", "10"], tmp_path) == 0, (
+        capsys.readouterr().err)
 
 
 def test_simulate_deterministic_rerun_and_workers(tmp_path):
@@ -366,6 +385,72 @@ def test_impossibility_always_continue(tmp_path, capsys):
     assert ("exact certification (mixture average < 3*delta, every check "
             "PASS): PASS") in report
     assert "PASS" in capsys.readouterr().out
+
+
+def stub_monte_carlo(ngame, sigma, tau, horizon, *args, **kwargs):
+    """Stands in for the simulation when only the construction and the
+    files matter: every replication averages 0."""
+    return SimpleNamespace(mean_avg_payoff={horizon: 0.0},
+                           payoff_se={horizon: 0.0})
+
+
+def random_per_stage_table(tmp_path):
+    """A per-stage Big Match table with three memory states whose mixture
+    grows 23 times, in cells at every memory state."""
+    rng = make_rng(700)
+    horizon, m_states = 1500, 3
+    absorb = rng.uniform(0.0, 2e-5, size=(horizon, m_states))
+    path = tmp_path / "table.json"
+    save_strategy_table(PublicMemoryStrategyTable(
+        memory_states=m_states, horizon=horizon,
+        action=np.stack([absorb, 1.0 - absorb], axis=-1),
+        memory_kernel=rng.dirichlet(np.ones(m_states),
+                                    size=(horizon, m_states, 2, 2, 3))),
+        str(path))
+    return ["--sigma", str(path), "--delta", "0.1", "--horizon", "1500"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--sigma", "always-c", "--delta", "0.05", "--horizon", "2000"],
+    ["--wrap-counter-cap", "1", "--delta", "0.1", "--horizon", "3000"],
+    ["--wrap-counter-cap", "8", "--delta", "0.1", "--horizon", "3000"],
+    random_per_stage_table,
+], ids=["always-c", "cap-1", "cap-8", "per-stage"])
+def test_adversary_json_bytes(tmp_path, monkeypatch, args):
+    """adversary.json is byte-equal to the sorted-set serialization kept in
+    tests/reference.py."""
+    if callable(args):
+        args = args(tmp_path)
+    built = []
+    build = stochgame.adversary.build_worthlessness_adversary
+    monkeypatch.setattr(stochgame.adversary, "build_worthlessness_adversary",
+                        lambda *a: built.append(build(*a)) or built[-1])
+    monkeypatch.setattr(stochgame.engine, "monte_carlo", stub_monte_carlo)
+    out = tmp_path / "out"
+    assert run_cli(["impossibility", *args], out) in (0, 3)
+    result, = built
+    cli_args = cli.build_parser().parse_args(["impossibility", *args])
+    expected = adversary_json_reference(cli_args.delta, cli_args.horizon,
+                                        result.certificate.memory_states,
+                                        result.mixture)
+    assert (out / "adversary.json").read_text(encoding="utf-8") == expected
+    assert (result.mixture.first < result.mixture.n_components).any()
+
+
+def test_impossibility_holds_one_component_at_a_time(tmp_path, monkeypatch):
+    """Writing adversary.json for always-c at T 5000 holds one component's
+    cell list, not every component's set of cells: the traced peak of the
+    whole command, with the simulation stubbed, stays under 3 MB."""
+    monkeypatch.setattr(stochgame.engine, "monte_carlo", stub_monte_carlo)
+    tracemalloc.start()
+    try:
+        code = run_cli(["impossibility", "--sigma", "always-c", "--delta",
+                        "0.1", "--horizon", "5000"], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 << 20, peak
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

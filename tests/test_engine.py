@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stochgame import SolutionCache, solve_discounted
+from stochgame import SolutionCache, make_config, solve_discounted
 from stochgame.adversary import (MarkovAdversary, pure_column_adversary,
                                  stationary_adversary)
 from stochgame import engine
@@ -17,6 +17,7 @@ from stochgame.engine import (CounterStrategy, EpisodeTrace,
                               write_trace_csv)
 from stochgame.adversary import (PublicMemoryStrategyTable,
                                  build_worthlessness_adversary)
+from stochgame.counter import FeasibilityError
 
 from conftest import make_rng
 from reference import move_law
@@ -75,7 +76,7 @@ def test_uniform_block_is_held_once(bm, uniform_tau):
     tracemalloc.start()
     try:
         engine._simulate_chunk(bm, sigma, uniform_tau, horizon, 1, 0, reps,
-                               (horizon,), None, False)
+                               (horizon,), False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -254,6 +255,60 @@ def test_memory_statistics_only_with_counter(bm, counter_sigma, uniform_tau):
     without = monte_carlo(bm, sigma, uniform_tau, 100, 32, 3)
     assert without.exceed_rate is None
     assert without.uniform_exceed_rate is None
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.2, 0.2499])
+def test_counter_cannot_pass_min_horizon(epsilon):
+    """The counter stops before its level passes last_level, which lies
+    below min_horizon for every feasible config, down to the minimal base:
+    so its uniform_exceed_rate reads 0."""
+    with pytest.raises(FeasibilityError) as info:
+        make_config(epsilon, 2.5)
+    minimal = info.value.minimal_base
+    for base in (minimal, 2 * minimal, 100.0, 1e4, 1.1e7, 1e100, 1e300):
+        if base >= minimal:
+            config = make_config(epsilon, base)
+            assert config.last_level < config.min_horizon, (epsilon, base)
+
+
+def test_uniform_exceed_rate_reads_the_histogram(bm, config, uniform_tau):
+    """A strategy whose level rises by one per stage passes min_horizon 5
+    when its level reaches 6, at the start of stage 7; it never passes the
+    infinite min_horizon that make_config gives at base 1e300."""
+
+    class Climber(StationaryStrategy):
+        def update_memory(self, t, z, k, i, j, z_next, u):
+            return k + 1
+
+    sigma = Climber(np.full((3, 2), 0.5))
+    for min_horizon, horizon, rate in ((5.0, 6, 0.0), (5.0, 7, 1.0),
+                                       (5.0, 10, 1.0), (np.inf, 10, 0.0)):
+        sigma.counter_config = dataclasses.replace(config,
+                                                   min_horizon=min_horizon)
+        stats = monte_carlo(bm, sigma, uniform_tau, horizon, 4, 1,
+                            checkpoints=(3, horizon))
+        assert stats.uniform_exceed_rate == rate, (min_horizon, horizon)
+    assert make_config(0.2, 1e300).min_horizon == np.inf
+
+
+def test_monte_carlo_setup_is_not_proportional_to_horizon(
+        bm, counter_sigma, uniform_tau, monkeypatch):
+    """Nothing of the horizon's length is allocated outside the chunks."""
+    def stub(ngame, sigma, tau, horizon, base_seed, rep_start, rep_count,
+             checkpoints, collect_traces):
+        return engine._ChunkResult(
+            records=[(0.0, 0.0, np.array([rep_count])) for _ in checkpoints],
+            traces=[])
+
+    monkeypatch.setattr(engine, "_simulate_chunk", stub)
+    tracemalloc.start()
+    try:
+        stats = monte_carlo(bm, counter_sigma, uniform_tau, 10_000_000, 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.uniform_exceed_rate == 0.0
+    assert peak < 1 << 20
 
 
 def test_table_strategy_equals_stationary(bm, uniform_tau):

@@ -48,13 +48,15 @@ def test_traced_job_counts_adversary_components(tmp_path):
     assert layers["adversary.stored_cells"] == 80000
 
 
-@pytest.mark.parametrize("workload", ["mc-best-response", "impossibility"])
+@pytest.mark.parametrize("workload", ["mc-uniform", "mc-best-response",
+                                      "impossibility", "solve-cache"])
 def test_best_response_job_passes_its_checks(tmp_path, workload):
-    """The benchmark's best-response and impossibility jobs run from the
-    source checkout and every check on their outputs passes: among them the
-    oracle that replays the stored policy by forward evaluation against the
-    stored table, the exact mixture-payoff oracle on adversary.json, and
-    the regexes that read the impossibility report."""
+    """Every benchmark job runs from the source checkout and every check on
+    its outputs passes: among them the oracle that replays the stored
+    policy by forward evaluation against the stored table, the exact
+    mixture-payoff oracle on adversary.json, the regexes that read the
+    impossibility report, and the memory checks that read stats.csv's
+    exceed_rate and uniform_exceed_rate."""
     job = subprocess.run(
         [sys.executable, "perfbench/job.py", "--workload", workload,
          "--seed", "1", "--out", str(tmp_path)],
