@@ -27,7 +27,7 @@ from .counter import SHIFTS, level_table
 from .games import (PROB_TOL, GameSpec, NormalizedGame, load_json_object,
                     probability_rows, sample_rows, stage_row)
 
-MAX_TABLE_BYTES = 1 << 28  # largest dense kernel, policy, map or trace
+MAX_TABLE_BYTES = 1 << 28  # largest kernel, policy, trace or mixture build
 TAIL_TOL = 1e-3  # bound on the absorb-at-zero mass after each switch stage
 
 
@@ -205,11 +205,10 @@ def best_response_public(ngame: NormalizedGame,
     policy = np.zeros((horizon, nz, m_states), dtype=np.int8)
     values = np.zeros((nz, m_states))
     law = np.empty((m_states * nj, nz * m_states))  # (m, j) -> (z', m') from one z
-    row = None
     for t in range(horizon, 0, -1):
-        if row != (row := (min(t, len(sigma.action)),
-                           min(t, len(sigma.memory_kernel)))):
-            act, ker = sigma.action[row[0] - 1], sigma.memory_kernel[row[1] - 1]
+        if t == horizon or not sigma.stationary:
+            act = stage_row(sigma.action, t)
+            ker = stage_row(sigma.memory_kernel, t)
             stage = np.einsum("mi,zij->zmj", act, game.payoff)
             parts = []  # nonzeros (rows, cols, coef) of (z, m, j) -> (z', m')
             for z in range(nz):
@@ -466,8 +465,9 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     tail is below TAIL_TOL.  Components are collected until their number
     exceeds (M+1)/delta; once a step adds no pair, the remaining components
     equal the last one.  The one-sets are nested, so the mixture is stored
-    as the first component that plays one at each cell, a (T, M) int64 map
-    of at most MAX_TABLE_BYTES.
+    as the first component that plays one at each cell, a (T, M) int64 map.
+    The size check counts the builder's (T, M) and (T,) arrays, not the
+    certificate's payoff rows, one (T,) row per step.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -475,12 +475,12 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     idx = big_match_indices(ngame)
     sigma.check_game(ngame.game)
     m_states = sigma.memory_states
-    need = 8 * horizon * m_states  # int64 map; the occupancy matches it
+    need = 8 * horizon * (5 * m_states + 16)  # the (T, M) and (T,) arrays
     if need > MAX_TABLE_BYTES:
-        raise ValueError(f"horizon {horizon} needs a {need:.3g}-byte mixture "
-                         f"map, over the {MAX_TABLE_BYTES}-byte limit; the "
+        raise ValueError(f"horizon {horizon} needs {need:.3g} bytes of working "
+                         f"arrays, over the {MAX_TABLE_BYTES}-byte limit; the "
                          f"largest horizon that fits is "
-                         f"{MAX_TABLE_BYTES // (8 * m_states)}")
+                         f"{MAX_TABLE_BYTES // (8 * (5 * m_states + 16))}")
     n_components = (1 if delta >= 1.0
                     else int(np.floor((m_states + 1) / delta)) + 1)
 

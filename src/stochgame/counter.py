@@ -45,22 +45,31 @@ def discount_rate(position: float) -> float:
 
 @dataclass(frozen=True)
 class CounterConfig:
-    """Parameters of the counter strategy.
+    """Parameters of the counter strategy: epsilon and base, the smallest
+    counter position (level 0).  The rest is derived from them.
 
-    growth is the multiplicative grid step 1 + epsilon/9; base is the
-    smallest counter position (level 0); memory_slope is the coefficient of
-    ln n in the memory bounds, 4/ln growth (the smallest admissible choice
-    and hence the tightest bound to test); min_horizon is
+    growth is the multiplicative grid step 1 + epsilon/9; memory_slope is
+    the coefficient of ln n in the memory bounds, 4/ln growth (the smallest
+    admissible choice and hence the tightest bound to test); min_horizon is
     72/(epsilon^2 * rate(base)), the stage count beyond which the epsilon
     guarantees bind, and doubles as the additive allowance in the uniform
     memory bound m_n <= min_horizon + memory_slope * ln n.
     """
 
     epsilon: float
-    growth: float
     base: float
-    memory_slope: float
-    min_horizon: float
+
+    @cached_property
+    def growth(self) -> float:
+        return 1.0 + self.epsilon / 9.0
+
+    @cached_property
+    def memory_slope(self) -> float:
+        return 4.0 / math.log(self.growth)
+
+    @cached_property
+    def min_horizon(self) -> float:
+        return 72.0 / (self.epsilon ** 2 * discount_rate(self.base))
 
     @cached_property
     def last_level(self) -> int:
@@ -82,15 +91,6 @@ class CounterConfig:
         return discount_rate(self.position_at(level))
 
 
-@dataclass(frozen=True)
-class MemoryUpdate:
-    """Move probabilities of the level: up one, stay, down one (arrays)."""
-
-    p_up: np.ndarray
-    p_stay: np.ndarray
-    p_down: np.ndarray
-
-
 def make_config(epsilon: float, base: float) -> CounterConfig:
     """Build a validated CounterConfig.
 
@@ -98,15 +98,15 @@ def make_config(epsilon: float, base: float) -> CounterConfig:
     so that both update probabilities stay in [0, 1] for every deviation
     (|d| <= 1 + epsilon/2 < 9/8 on normalized payoffs).
     """
+    config = CounterConfig(epsilon=epsilon, base=base)
     if not 0.0 < epsilon < 0.25:
         raise ValueError(f"epsilon must lie in (0, 1/4), got {epsilon}")
     if base <= 2.0:
         raise ValueError(f"base must exceed 2, got {base}")
-    growth = 1.0 + epsilon / 9.0
     # epsilon/9 instead of growth-1: the subtraction loses ~2 ulp and would
     # reject the exact minimal base.
-    minimal = 9.0 * growth / (8.0 * (epsilon / 9.0))
-    if base * (epsilon / 9.0) / growth < 9.0 / 8.0:
+    minimal = 9.0 * config.growth / (8.0 * (epsilon / 9.0))
+    if base * (epsilon / 9.0) / config.growth < 9.0 / 8.0:
         raise FeasibilityError(
             f"base {base:g} infeasible for epsilon {epsilon:g}: requires "
             f"base * (growth-1)/growth >= 9/8, i.e. base >= {minimal:.6g}",
@@ -115,10 +115,7 @@ def make_config(epsilon: float, base: float) -> CounterConfig:
     if not rate >= np.finfo(float).tiny:  # min_horizon divides by it
         raise ValueError(f"base {base:g} has discount rate {rate:g}, not a "
                          f"positive normal float")
-    min_horizon = 72.0 / (epsilon ** 2 * rate)
-    return CounterConfig(epsilon=epsilon, growth=growth, base=base,
-                         memory_slope=4.0 / math.log(growth),
-                         min_horizon=min_horizon)
+    return config
 
 
 def _unit(name: str, x) -> np.ndarray:
@@ -130,10 +127,12 @@ def _unit(name: str, x) -> np.ndarray:
 
 
 def update_distribution(config: CounterConfig, level, payoff,
-                        value_next) -> MemoryUpdate:
+                        value_next) -> np.ndarray:
     """Closed-form one-step move probabilities of the counter level.
 
-    The arguments broadcast against each other.  With
+    The arguments broadcast against each other; the result has one more
+    axis, of length 3, giving p_up, p_stay, p_down: the probabilities of
+    the level shifts SHIFTS.  With
     d = payoff - value_next + epsilon/2 and s = config.position_at(level):
     d > 0 moves up with probability d/(s(growth-1)); d < 0 moves down with
     probability |d|*growth/(s(growth-1)) unless already at level 0; d = 0
@@ -152,10 +151,10 @@ def update_distribution(config: CounterConfig, level, payoff,
     denom = position * (config.growth - 1.0)
     p_up = np.where(d > 0.0, d / denom, 0.0)
     p_down = np.where((d < 0.0) & (level > 0), -d * config.growth / denom, 0.0)
-    return MemoryUpdate(p_up=p_up, p_stay=1.0 - p_up - p_down, p_down=p_down)
+    return np.stack([p_up, 1.0 - p_up - p_down, p_down], axis=-1)
 
 
-SHIFTS = (1, 0, -1)  # level shifts, in the order of level_table's last axis
+SHIFTS = (1, 0, -1)  # level shifts, in the order of the move law's last axis
 
 
 def level_table(config: CounterConfig, cache: SolutionCache, levels):
@@ -164,12 +163,10 @@ def level_table(config: CounterConfig, cache: SolutionCache, levels):
     SHIFTS after actions (i, j) at state z lead to z': update_distribution
     at the stage payoff of the cache's game and the level's value of z'."""
     sols = [cache.at(k) for k in levels]
-    upd = update_distribution(
+    return (np.stack([sol.strategy1 for sol in sols]), update_distribution(
         config, np.asarray(levels)[:, None, None, None, None],
         cache.ngame.game.payoff[None, :, :, :, None],
-        np.stack([sol.values for sol in sols])[:, None, None, None, :])
-    return (np.stack([sol.strategy1 for sol in sols]),
-            np.stack([upd.p_up, upd.p_stay, upd.p_down], axis=-1))
+        np.stack([sol.values for sol in sols])[:, None, None, None, :]))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from stochgame.adversary import (BestResponseAdversary,
                                  build_worthlessness_adversary,
                                  from_counter_strategy, pure_column_adversary,
                                  stationary_adversary)
-from stochgame.counter import MemoryUpdate, update_distribution
+from stochgame.counter import update_distribution
 from stochgame.engine import (CounterStrategy, TableStrategy, _simulate_chunk,
                               monte_carlo)
 from stochgame.matrix import solve_matrix_game
@@ -70,14 +70,14 @@ def test_criterion_02_drift_identity(config):
         (int(rng.integers(1, 500)), float(rng.uniform()), float(rng.uniform()))
         for _ in range(10_000)]))
     s = np.array([config.position_at(lvl) for lvl in k.tolist()])
-    u = update_distribution(config, k, x, v)
-    drift = u.p_up * s * gm1 - u.p_down * s * gm1 / config.growth
+    p_up, _, p_down = np.moveaxis(update_distribution(config, k, x, v), -1, 0)
+    drift = p_up * s * gm1 - p_down * s * gm1 / config.growth
     err = np.abs(drift - (x - v + config.epsilon / 2.0))
     assert np.all(err <= 1e-12)
     x, v = (np.array(c) for c in zip(*[
         (float(rng.uniform()), float(rng.uniform())) for _ in range(2_000)]))
-    u = update_distribution(config, 0, x, v)
-    err0 = np.abs(u.p_up * config.base * gm1
+    p_up, _, _ = np.moveaxis(update_distribution(config, 0, x, v), -1, 0)
+    err0 = np.abs(p_up * config.base * gm1
                   - np.maximum(x - v + config.epsilon / 2.0, 0.0))
     assert np.all(err0 <= 1e-12)
     worst = max(err.max(), err0.max())
@@ -97,8 +97,8 @@ def test_criterion_03_jump_bound(config):
         (int(rng.integers(0, 500)), float(rng.uniform()), float(rng.uniform()))
         for _ in range(10_000)]))
     s = np.array([config.position_at(lvl) for lvl in k.tolist()])
-    u = update_distribution(config, k, x, v)
-    slack = 2.0 / (s * gm1) - (u.p_up + u.p_down)
+    p_up, _, p_down = np.moveaxis(update_distribution(config, k, x, v), -1, 0)
+    slack = 2.0 / (s * gm1) - (p_up + p_down)
     worst = (-slack).max()
     assert np.all(slack >= 0.0)
     report(3, f"10k draws, zero violations (worst excess {worst:.2e})")
@@ -129,8 +129,7 @@ def test_criterion_04_one_step_submartingale(bm, bm_game, config, cache,
                 for z2 in np.flatnonzero(p[live, i, j]):
                     pz = p[live, i, j, z2]
                     u = update_distribution(config, k, x, sol.values[z2])
-                    for move, prob in ((1, u.p_up), (0, u.p_stay),
-                                       (-1, u.p_down)):
+                    for move, prob in zip(counter.SHIFTS, u):
                         if prob == 0.0:
                             continue
                         k2 = k + move
@@ -240,16 +239,16 @@ def test_criterion_06_memory_reference_matches_engine(bm, config, cache,
 
 
 def plant_doubled_p_up(monkeypatch) -> None:
-    """The planted fault: the move law's up-probability doubles, with
-    p_stay recomputed.  It reaches counter.level_table, and through it
-    every table the checks read."""
+    """The planted fault: the move law's up-probability (column 0)
+    doubles, with p_stay (column 1) recomputed.  It reaches
+    counter.level_table, and through it every table the checks read."""
     real = counter.update_distribution
 
     def doubled(config, level, payoff, value_next):
-        upd = real(config, level, payoff, value_next)
-        return MemoryUpdate(p_up=2.0 * upd.p_up,
-                            p_stay=1.0 - 2.0 * upd.p_up - upd.p_down,
-                            p_down=upd.p_down)
+        upd = real(config, level, payoff, value_next).copy()
+        upd[..., 0] *= 2.0
+        upd[..., 1] = 1.0 - upd[..., 0] - upd[..., 2]
+        return upd
 
     monkeypatch.setattr(counter, "update_distribution", doubled)
 

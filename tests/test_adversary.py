@@ -634,6 +634,31 @@ def test_worthlessness_memory_bounded_by_map(bm, config, cache):
     assert peak <= 3.6 * 8 * horizon * tab.memory_states
 
 
+@pytest.mark.parametrize("cap, horizon, steps", [(None, 20_000, 2),
+                                                 (16, 20_000, 1),
+                                                 (32, 10_000, 10),
+                                                 (40, 30_000, 1)])
+def test_worthlessness_size_check_bounds_the_peak(bm, config, cache, cap,
+                                                  horizon, steps):
+    """The size check's 8*T*(5M + 16) bytes bound the builder's traced
+    peak: always-c (123 bytes per stage against 168) and counter caps 16,
+    32 and 40 (466, 1,268 and 1,090 against 808, 1,448 and 1,768).  The
+    always-c peak per stage is the same at T 2e4 and 2e5."""
+    if cap is None:
+        tab, delta = stationary_table(0.0), 0.05
+    else:
+        tab, delta = from_counter_strategy(bm, config, cache, cap,
+                                           horizon), 0.1
+    tracemalloc.start()
+    try:
+        res = build_worthlessness_adversary(bm, tab, delta, horizon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.certificate.budgets) == steps
+    assert peak <= 8 * horizon * (5 * tab.memory_states + 16)
+
+
 # ----------------------------------------------------- engine adapters
 
 def test_mixed_clocked_act_matches_components(bm):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, replay determinism."""
 
+import ast
 import csv
 import importlib.metadata
 import json
@@ -501,10 +502,10 @@ def test_trace_writes_csv(tmp_path, capsys):
 @pytest.mark.parametrize("argv, module, name, message", [
     (["impossibility", "--sigma", "always-c", "--delta", "0.1",
       "--horizon", "40000000"], stochgame.adversary, "_forward_pass",
-     "largest horizon that fits is 33554432"),
-    (["impossibility", "--wrap-counter-cap", "40", "--horizon", "818401"],
+     "largest horizon that fits is 1597830"),
+    (["impossibility", "--wrap-counter-cap", "40", "--horizon", "151831"],
      stochgame.adversary, "_forward_pass",
-     "largest horizon that fits is 818400"),
+     "largest horizon that fits is 151830"),
     (["trace", "--horizon", "7000000", "--replications", "1"],
      stochgame.engine, "_simulate_chunk",
      "at most 6710886 replication-stages fit"),
@@ -654,3 +655,22 @@ def test_installed_console_script():
                           timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "impossibility" in proc.stdout
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    """numpy is the one runtime dependency: every absolute import in the
+    package names a standard-library module or numpy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    imported = {}  # top-level module -> first file importing it
+    for path in sorted(Path(stochgame.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    assert "numpy" in imported
+    assert {m: f for m, f in imported.items() if m not in allowed} == {}

@@ -1,5 +1,6 @@
 """Counter strategy: configuration, drift identities, one-step optimality."""
 
+import dataclasses
 import math
 import sys
 
@@ -9,8 +10,8 @@ import pytest
 from stochgame import (CounterConfig, FeasibilityError, GameSpec,
                        make_config, normalize_payoffs, update_distribution,
                        validate_constants)
-from stochgame import discounted
-from stochgame.counter import MemoryUpdate, discount_rate
+from stochgame import counter, discounted
+from stochgame.counter import discount_rate
 from stochgame.games import sample_rows
 
 from conftest import make_rng
@@ -28,6 +29,17 @@ def test_config_defaults(config):
     assert config.min_horizon == pytest.approx(
         72.0 / (0.04 * discount_rate(100.0)), rel=1e-14)
     assert config.min_horizon == pytest.approx(3817366.639544446, rel=1e-14)
+
+
+def test_config_holds_epsilon_and_base_only():
+    """growth, memory_slope and min_horizon follow epsilon and base, so a
+    config with epsilon replaced carries the new epsilon's values."""
+    assert [f.name for f in dataclasses.fields(CounterConfig)] == [
+        "epsilon", "base"]
+    replaced = dataclasses.replace(make_config(0.2, 1000.0), epsilon=0.1)
+    fresh = make_config(0.1, 1000.0)
+    for name in ("growth", "memory_slope", "min_horizon"):
+        assert getattr(replaced, name) == getattr(fresh, name), name
 
 
 def test_config_validation():
@@ -87,19 +99,19 @@ def test_levels_stop_at_the_last_normal_rate(base, last):
 def test_update_distribution_hand_value(config):
     # excess d = 1 - 0.5 + 0.1 = 0.6 at level 1, position 100*gamma:
     # climb probability d / (position * (growth-1))
-    up = update_distribution(config, 1, 1.0, 0.5)
-    assert up.p_up == pytest.approx(0.2641304347826096, rel=1e-14)
-    assert up.p_down == 0.0
-    assert up.p_up + up.p_stay + up.p_down == pytest.approx(1.0, abs=1e-15)
+    p_up, p_stay, p_down = update_distribution(config, 1, 1.0, 0.5)
+    assert p_up == pytest.approx(0.2641304347826096, rel=1e-14)
+    assert p_down == 0.0
+    assert p_up + p_stay + p_down == pytest.approx(1.0, abs=1e-15)
 
 
 def test_update_distribution_directions(config):
-    up = update_distribution(config, 5, 1.0, 0.4)     # d > 0: climb only
-    assert up.p_up > 0 and up.p_down == 0.0
-    down = update_distribution(config, 5, 0.0, 0.7)   # d < 0: descend only
-    assert down.p_up == 0.0 and down.p_down > 0
-    level0 = update_distribution(config, 0, 0.0, 0.7)
-    assert level0.p_down == 0.0  # the counter never leaves the grid
+    p_up, _, p_down = update_distribution(config, 5, 1.0, 0.4)
+    assert p_up > 0 and p_down == 0.0  # d > 0: climb only
+    p_up, _, p_down = update_distribution(config, 5, 0.0, 0.7)
+    assert p_up == 0.0 and p_down > 0  # d < 0: descend only
+    _, _, p_down = update_distribution(config, 0, 0.0, 0.7)
+    assert p_down == 0.0  # the counter never leaves the grid
 
 
 def test_update_distribution_checks_unit_inputs(config):
@@ -110,21 +122,20 @@ def test_update_distribution_checks_unit_inputs(config):
 
 def test_update_distribution_matches_scalar_law(config):
     """One call over a (level, payoff, value) grid gives, cell by cell,
-    the bits of the scalar closed form."""
+    the bits of the scalar closed form, at every level 0..500: positions
+    vectorized as growth ** arange(L) * base can differ from position_at
+    in the last bit."""
     rng = make_rng(23)
-    levels = np.array([0, 1, 7, 300])
+    levels = np.arange(501)
     x = rng.uniform(size=5)
     v = rng.uniform(size=6)
     grid = update_distribution(config, levels[:, None, None],
                                x[None, :, None], v[None, None, :])
-    assert grid.p_up.shape == (4, 5, 6)
-    for a, k in enumerate(levels.tolist()):
-        for b in range(5):
-            for c in range(6):
-                want = move_law(config, k, float(x[b]), float(v[c]))
-                got = (grid.p_up[a, b, c], grid.p_stay[a, b, c],
-                       grid.p_down[a, b, c])
-                assert got == want, (k, b, c)
+    assert grid.shape == (501, 5, 6, 3)
+    want = np.array([[[move_law(config, k, b, c) for c in v.tolist()]
+                      for b in x.tolist()] for k in levels.tolist()])
+    off = np.unique(np.argwhere(grid != want)[:, 0])
+    assert off.size == 0, f"levels off the scalar law: {off.tolist()}"
 
 
 def test_drift_identity(config):
@@ -136,8 +147,8 @@ def test_drift_identity(config):
         x = float(rng.uniform())
         v = float(rng.uniform())
         s = config.position_at(k)
-        u = update_distribution(config, k, x, v)
-        drift = (u.p_up * s * gm1 - u.p_down * s * gm1 / config.growth)
+        p_up, _, p_down = update_distribution(config, k, x, v)
+        drift = (p_up * s * gm1 - p_down * s * gm1 / config.growth)
         assert abs(drift - (x - v + config.epsilon / 2.0)) <= 1e-12
 
 
@@ -146,8 +157,8 @@ def test_drift_identity_at_level_zero(config):
     gm1 = config.growth - 1.0
     for _ in range(1000):
         x, v = float(rng.uniform()), float(rng.uniform())
-        u = update_distribution(config, 0, x, v)
-        drift = u.p_up * config.base * gm1
+        p_up, _, _ = update_distribution(config, 0, x, v)
+        drift = p_up * config.base * gm1
         want = max(x - v + config.epsilon / 2.0, 0.0)
         assert abs(drift - want) <= 1e-12
 
@@ -157,29 +168,29 @@ def test_jump_probability_bound(config):
     gm1 = config.growth - 1.0
     for _ in range(1000):
         k = int(rng.integers(0, 400))
-        u = update_distribution(config, k, float(rng.uniform()),
-                                float(rng.uniform()))
-        assert u.p_up + u.p_down <= 2.0 / (config.position_at(k) * gm1)
-        assert u.p_up >= 0 and u.p_down >= 0 and u.p_stay >= 0
+        p_up, p_stay, p_down = update_distribution(
+            config, k, float(rng.uniform()), float(rng.uniform()))
+        assert p_up + p_down <= 2.0 / (config.position_at(k) * gm1)
+        assert p_up >= 0 and p_down >= 0 and p_stay >= 0
 
 
 def test_sample_update_threshold_map(config):
     """A uniform u moves up when u < p_up and down when u >= p_up + p_stay:
     sample_rows over the cumulative (up, stay, down) row."""
     def step(level, x, v, u):
-        upd = update_distribution(config, level, x, v)
-        cum = np.array([upd.p_up, upd.p_up + upd.p_stay, 1.0])
+        p_up, p_stay, _ = update_distribution(config, level, x, v)
+        cum = np.array([p_up, p_up + p_stay, 1.0])
         move = int(sample_rows(cum, np.float64(u)))
         return level + (1, 0, -1)[move]
 
-    u = update_distribution(config, 3, 1.0, 0.2)
-    assert u.p_up > 0
-    assert step(3, 1.0, 0.2, u.p_up / 2) == 4
-    assert step(3, 1.0, 0.2, u.p_up) == 3
+    p_up, _, _ = update_distribution(config, 3, 1.0, 0.2)
+    assert p_up > 0
+    assert step(3, 1.0, 0.2, p_up / 2) == 4
+    assert step(3, 1.0, 0.2, p_up) == 3
     assert step(3, 1.0, 0.2, 0.999999999) == 3
 
-    d = update_distribution(config, 3, 0.0, 0.9)
-    assert d.p_down > 0
+    _, _, p_down = update_distribution(config, 3, 0.0, 0.9)
+    assert p_down > 0
     assert step(3, 0.0, 0.9, 0.999999999) == 2
     assert step(3, 0.0, 0.9, 0.0) == 3
 
@@ -257,4 +268,5 @@ def test_config_is_frozen(config):
     with pytest.raises(Exception):
         config.epsilon = 0.3
     assert isinstance(config, CounterConfig)
-    assert isinstance(update_distribution(config, 1, 0.5, 0.5), MemoryUpdate)
+    assert update_distribution(config, 1, 1.0, 0.5).shape == (3,)
+    assert not hasattr(counter, "MemoryUpdate")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -283,8 +284,8 @@ def test_uniform_exceed_rate_reads_the_histogram(bm, config, uniform_tau):
     sigma = Climber(np.full((3, 2), 0.5))
     for min_horizon, horizon, rate in ((5.0, 6, 0.0), (5.0, 7, 1.0),
                                        (5.0, 10, 1.0), (np.inf, 10, 0.0)):
-        sigma.counter_config = dataclasses.replace(config,
-                                                   min_horizon=min_horizon)
+        sigma.counter_config = types.SimpleNamespace(
+            memory_slope=config.memory_slope, min_horizon=min_horizon)
         stats = monte_carlo(bm, sigma, uniform_tau, horizon, 4, 1,
                             checkpoints=(3, horizon))
         assert stats.uniform_exceed_rate == rate, (min_horizon, horizon)
