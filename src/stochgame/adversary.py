@@ -25,7 +25,7 @@ import numpy as np
 
 from .counter import SHIFTS, level_table
 from .games import (PROB_TOL, GameSpec, NormalizedGame, load_json_object,
-                    probability_rows, sample_rows, stage_row)
+                    probability_rows, sample_rows, stage_row, take_rows)
 
 MAX_TABLE_BYTES = 1 << 28  # largest kernel, policy, trace or mixture build
 TAIL_TOL = 1e-3  # bound on the absorb-at-zero mass after each switch stage
@@ -252,7 +252,7 @@ class StationaryAdversary(Adversary):
         self.cum = np.cumsum(probability_rows("mixture", dist), axis=-1)
 
     def act(self, t, z, m, comp, u):
-        return sample_rows(self.cum[z], u)
+        return sample_rows(take_rows(self.cum, z), u)
 
 
 def stationary_adversary(dist) -> StationaryAdversary:
@@ -276,7 +276,7 @@ class MarkovAdversary(Adversary):
         self.cum = np.cumsum(probability_rows("mixture", table), axis=-1)
 
     def act(self, t, z, m, comp, u):
-        return sample_rows(stage_row(self.cum, t)[z], u)
+        return sample_rows(take_rows(stage_row(self.cum, t), z), u)
 
 
 class BestResponseAdversary(Adversary):
@@ -577,7 +577,7 @@ class MixedClockedAdversary(Adversary):
         return (u0 * self.n_components).astype(np.int64)
 
     def act(self, t, z, m, comp, u):
-        first = self.first[t - 1, np.minimum(m, self.first.shape[1] - 1)]
+        first = self.first[t - 1].take(np.minimum(m, self.first.shape[1] - 1))
         return np.where(comp >= first, self.indices.col_one,
                         self.indices.col_zero)
 

@@ -14,6 +14,10 @@ Because stream position is a pure function of the stage index, results are
 byte-identical for any replication chunking, stage blocking, or worker
 count: replications are partitioned into fixed-size chunks and partial
 reductions are combined in chunk order.
+
+A chunk draws BLOCK_FLOATS uniforms (16 MB) at a time into a stage-major
+block, so that a draw reads its R uniforms contiguously, not a row apart;
+the streams fill a group buffer of about 2 MB, transposed in while cached.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ from .adversary import MAX_TABLE_BYTES
 from .counter import CounterConfig, level_table
 from .discounted import SolutionCache
 from .games import (NormalizedGame, is_absorbing, probability_rows,
-                    sample_rows, stage_row, transition_cdf)
+                    sample_rows, stage_row, take_rows, transition_cdf)
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99, 1.0)
 CHUNK = 8192  # replications per chunk: the unit of work shared out to workers
+BLOCK_FLOATS = 2_000_000  # uniforms a chunk draws at a time: 16 MB
 
 STATS_COLUMNS = ("n", "mean_avg_payoff", "payoff_se",
                  "max_memory_q50", "max_memory_q90", "max_memory_q99",
@@ -44,6 +49,8 @@ TRACE_COLUMNS = ("replication", "t", "z", "k", "i", "j", "x")
 
 # ---------------------------------------------------------------------------
 # player-1 strategy adapters
+# take_rows indices lie in their axes by construction: states and actions
+# are draws, the counter's level has floor 0, table memory is the kernel's.
 
 
 class StationaryStrategy:
@@ -58,7 +65,7 @@ class StationaryStrategy:
         pass
 
     def act(self, t, z, k, u):
-        return sample_rows(self.cum[z], u)
+        return sample_rows(take_rows(self.cum, z), u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
         return k
@@ -98,11 +105,11 @@ class CounterStrategy:
                         [self._cum_shift, np.cumsum(shift, axis=-1)])
                     self._cum_act = np.concatenate(
                         [self._cum_act, np.cumsum(mix, axis=-1)])
-        return sample_rows(self._cum_act[k, z], u)
+        return sample_rows(take_rows(self._cum_act, k, z), u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
-        # row index a is the shift SHIFTS[a] = 1 - a
-        return k + 1 - sample_rows(self._cum_shift[k, z, i, j, z_next], u)
+        rows = take_rows(self._cum_shift, k, z, i, j, z_next)
+        return k + 1 - sample_rows(rows, u)  # index a: shift SHIFTS[a] = 1 - a
 
 
 class TableStrategy:
@@ -119,10 +126,11 @@ class TableStrategy:
         self.table.check_horizon(horizon)
 
     def act(self, t, z, k, u):
-        return sample_rows(stage_row(self._cum_act, t)[k], u)
+        return sample_rows(take_rows(stage_row(self._cum_act, t), k), u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
-        return sample_rows(stage_row(self._cum_ker, t)[k, i, j, z_next], u)
+        rows = take_rows(stage_row(self._cum_ker, t), k, i, j, z_next)
+        return sample_rows(rows, u)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +217,17 @@ def _merge_hists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_stages(horizon: int, rep_count: int) -> int:
+    return min(horizon, max(16, BLOCK_FLOATS // (4 * rep_count)))
+
+
 def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                     base_seed: int, rep_start: int, rep_count: int,
                     checkpoints: tuple[int, ...],
                     collect_traces: bool) -> _ChunkResult:
     game = ngame.game
-    nz = game.n_states
-    tcdf = transition_cdf(game)
-    pay = game.payoff
+    nz, ni, nj = game.n_states, game.n_actions1, game.n_actions2
+    tcdf = transition_cdf(game).reshape(-1, nz)  # one row per (z, i, j)
 
     gens = [np.random.Generator(np.random.Philox(
         key=[base_seed, rep_start + r])) for r in range(rep_count)]
@@ -232,25 +243,27 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
 
     records = []
     if collect_traces:
-        tz = np.zeros((rep_count, horizon), dtype=np.int64)
-        tk = np.zeros((rep_count, horizon), dtype=np.int64)
-        ti = np.zeros((rep_count, horizon), dtype=np.int64)
-        tj = np.zeros((rep_count, horizon), dtype=np.int64)
+        tz, tk, ti, tj = np.zeros((4, rep_count, horizon), dtype=np.int64)
         tx = np.zeros((rep_count, horizon))
 
-    block = max(16, min(horizon, int(10_000_000 / (4 * max(rep_count, 1)))))
-    u_block = np.empty((rep_count, block, 4))  # each stream's next block
+    block = _block_stages(horizon, rep_count)
+    u_block = np.empty((block, 4, rep_count))
+    group = np.empty((min(rep_count, max(1, BLOCK_FLOATS // (32 * block))),
+                      block, 4))
     for start in range(1, horizon + 1, block):
         b = min(block, horizon - start + 1)
-        for g, row in zip(gens, u_block):
-            g.random(out=row[:b])
+        for r0 in range(0, rep_count, len(group)):
+            for n, g in enumerate(gens[r0:r0 + len(group)], 1):
+                g.random(out=group[n - 1, :b])
+            u_block[:b, :, r0:r0 + n] = group[:n, :b].transpose(1, 2, 0)
         for t in range(start, start + b):
-            u = u_block[:, t - start, :]
+            u = u_block[t - start]
             np.maximum(max_mem, k, out=max_mem)
-            i = sigma.act(t, z, k, u[:, 0])
-            j = tau.act(t, z, k, comp, u[:, 1])
-            z_next = sample_rows(tcdf[z, i, j], u[:, 2])
-            x = pay[z, i, j]
+            i = sigma.act(t, z, k, u[0])
+            j = tau.act(t, z, k, comp, u[1])
+            zij = (z * ni + i) * nj + j
+            z_next = sample_rows(tcdf.take(zij, axis=0), u[2])
+            x = game.payoff.take(zij)
             pay_sum += x
             if collect_traces:
                 tz[:, t - 1] = z
@@ -258,7 +271,7 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                 ti[:, t - 1] = i
                 tj[:, t - 1] = j
                 tx[:, t - 1] = x
-            k = sigma.update_memory(t, z, k, i, j, z_next, u[:, 3])
+            k = sigma.update_memory(t, z, k, i, j, z_next, u[3])
             z = z_next
             if t in checkpoints:
                 rbar = pay_sum / t
@@ -371,13 +384,16 @@ def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
     """Simulate replications 0..replications-1 and keep their full traces.
 
     Trace r is bit-identical to what replication r of a monte_carlo run
-    with the same base_seed plays.  The traces hold 40 bytes per
-    replication-stage, at most MAX_TABLE_BYTES in all.
+    with the same base_seed plays.  need bounds its allocations: 41 bytes
+    per replication-stage (traces, absorbed mask); per replication its
+    block and group rows and 2 KB (generator, EpisodeTrace); 64 KB fixed.
     """
     _check_run(horizon, replications, base_seed)
-    need = 40 * replications * horizon  # four int64 and one float64 arrays
+    block = _block_stages(horizon, replications)
+    need = replications * (41 * horizon + 64 * block + 2048) + (1 << 16)
     if need > MAX_TABLE_BYTES:
-        raise ValueError(f"the traces need {need:.3g} bytes, over the "
+        raise ValueError(f"the traces need {need:.3g} bytes, "
+                         f"{need // replications} per replication, over the "
                          f"{MAX_TABLE_BYTES}-byte limit; at most "
                          f"{MAX_TABLE_BYTES // 40} replication-stages fit")
     sigma.prepare(horizon)

@@ -225,6 +225,15 @@ def stage_row(table, t: int):
     return table[min(t, len(table)) - 1]
 
 
+def take_rows(table: np.ndarray, *index) -> np.ndarray:
+    """table[index], one index array per leading axis, by one take at the
+    flat index (fast on short rows); it checks only the flat range."""
+    flat = index[0]
+    for n, i in zip(table.shape[1:], index[1:]):
+        flat = flat * n + i
+    return table.reshape(-1, table.shape[-1]).take(flat, axis=0)
+
+
 def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw, the one sampling rule everywhere: per row, the
     smallest index a with u < cum_rows[..., a], clamped to the last index so

@@ -509,6 +509,8 @@ def test_trace_writes_csv(tmp_path, capsys):
     (["trace", "--horizon", "7000000", "--replications", "1"],
      stochgame.engine, "_simulate_chunk",
      "at most 6710886 replication-stages fit"),
+    (["trace", "--horizon", "1", "--replications", "6000000"],
+     stochgame.engine, "_simulate_chunk", "2153 per replication"),
 ])
 def test_oversized_run_exits_two(tmp_path, capsys, monkeypatch, argv, module,
                                  name, message):

@@ -1,13 +1,15 @@
 """Simulation engine: determinism, replay invariance, exact chain oracles."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
-from stochgame import SolutionCache, make_config, solve_discounted
+from stochgame import (GameSpec, SolutionCache, make_config,
+                       normalize_payoffs, solve_discounted)
 from stochgame.adversary import (MarkovAdversary, pure_column_adversary,
                                  stationary_adversary)
 from stochgame import engine
@@ -19,6 +21,7 @@ from stochgame.engine import (CounterStrategy, EpisodeTrace,
 from stochgame.adversary import (PublicMemoryStrategyTable,
                                  build_worthlessness_adversary)
 from stochgame.counter import FeasibilityError
+from stochgame.games import PROB_TOL
 
 from conftest import make_rng
 from reference import move_law
@@ -70,18 +73,40 @@ def test_counter_solves_only_the_levels_play_reaches(bm, config,
 
 
 def test_uniform_block_is_held_once(bm, uniform_tau):
-    """One chunk's traced peak stays below 1.5 times its block of
-    uniforms: the streams draw into one buffer, not into copies."""
-    reps, horizon = 4096, 600  # one block: 4 uniforms per rep-stage
+    """One chunk's traced peak stays below 1.5 times the BLOCK_FLOATS
+    block plus its (R,) arrays, over a run of several blocks: the streams
+    draw into one 16 MB block, not into copies or a whole run's worth."""
+    sigma = StationaryStrategy(np.full((3, 2), 0.5))
+    for reps, horizon in ((4096, 2000), (256, 12000)):
+        tracemalloc.start()
+        try:
+            engine._simulate_chunk(bm, sigma, uniform_tau, horizon, 1, 0,
+                                   reps, (horizon,), False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 * reps * horizon > 3 * engine.BLOCK_FLOATS
+        assert peak < 1.5 * 8 * engine.BLOCK_FLOATS + 2048 * reps
+
+
+@pytest.mark.parametrize("reps, horizon", [(20000, 1), (20000, 4),
+                                           (2000, 100)])
+def test_run_traces_allocates_what_it_counts(bm, uniform_tau, monkeypatch,
+                                             reps, horizon):
+    """run_traces' size check counts every byte the run allocates: the
+    traces, the uniform block, and each replication's generator and
+    EpisodeTrace.  With the limit one byte under the traced peak, the run
+    is refused."""
     sigma = StationaryStrategy(np.full((3, 2), 0.5))
     tracemalloc.start()
     try:
-        engine._simulate_chunk(bm, sigma, uniform_tau, horizon, 1, 0, reps,
-                               (horizon,), False)
+        run_traces(bm, sigma, uniform_tau, horizon, reps, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (4 * 8 * reps * horizon)
+    monkeypatch.setattr(engine, "MAX_TABLE_BYTES", peak - 1)
+    with pytest.raises(ValueError, match="per replication"):
+        run_traces(bm, sigma, uniform_tau, horizon, reps, 1)
 
 
 def test_trace_consistency(bm, bm_game, counter_sigma, uniform_tau, live):
@@ -336,6 +361,63 @@ def test_markov_constant_table_equals_stationary(bm, counter_sigma):
     b, = run_traces(bm, counter_sigma, tau_m, 100, 1, 41)
     np.testing.assert_array_equal(a.stage_action2, b.stage_action2)
     np.testing.assert_array_equal(a.stage_payoff, b.stage_payoff)
+
+
+def _tied_rows(rng, u, width, shape):
+    """Per-stage probability rows of the given width over shape, one stage
+    per entry of u: at stages 1, 4, 7, ... the first cumulative entry is u
+    itself (a draw on the boundary), at stages 2, 5, ... a -PROB_TOL entry
+    puts the second cumulative entry 5e-10 below u while the first is above
+    it, elsewhere random rows."""
+    rows = rng.dirichlet(np.ones(width), size=(len(u), *shape))
+    for s, us in enumerate(u):
+        row = np.zeros(width)
+        if s % 3 == 0:
+            row[:2] = us, 1.0 - us
+        elif width == 2:
+            row[:] = -PROB_TOL, 1.0 + PROB_TOL
+        else:
+            row[:3] = us + 5e-10, -PROB_TOL, 1.0 - us - 5e-10 + PROB_TOL
+        if s % 3 != 2:
+            rows[s] = row
+    return rows
+
+
+def test_every_adapter_draws_as_recorded():
+    """Play on a 3-state game whose states 0 and 1 cycle and 2 absorbs is
+    pinned by a sha256 of the traces: a per-stage table with 3 memory
+    states against a Markov mixture, and the stationary pair.  Their rows
+    carry -PROB_TOL entries, and replication 0 draws uniforms that equal
+    a cumulative entry exactly."""
+    horizon, seed = 60, 23
+    rng = make_rng(70)
+    u = np.random.Generator(np.random.Philox(key=[seed, 0])).random(
+        (horizon, 4))
+    transition = np.zeros((3, 2, 3, 3))
+    transition[:2] = rng.dirichlet([4.0, 4.0, 0.3], size=(2, 2, 3))
+    transition[0, 1, 2] = 0.6 + PROB_TOL, -PROB_TOL, 0.4
+    transition[2, ..., 2] = 1.0
+    payoff = rng.uniform(size=(3, 2, 3))
+    payoff[2] = 0.7
+    ngame = normalize_payoffs(GameSpec(("a", "b", "end"), ("x", "y"),
+                                       ("p", "q", "r"), payoff, transition, 0))
+    table = PublicMemoryStrategyTable(
+        memory_states=3, horizon=horizon,
+        action=_tied_rows(rng, u[:, 0], 2, (3,)),
+        memory_kernel=_tied_rows(rng, u[:, 3], 3, (3, 2, 3, 3)))
+    markov = _tied_rows(rng, u[:, 1], 3, (3,))
+    pairs = [(TableStrategy(table), MarkovAdversary(markov)),
+             (StationaryStrategy(table.action[0]),
+              stationary_adversary(markov[0]))]
+    digest = hashlib.sha256()
+    for sigma, tau in pairs:
+        for tr in run_traces(ngame, sigma, tau, horizon, 40, seed):
+            for arr in (tr.stage_state, tr.stage_memory, tr.stage_action1,
+                        tr.stage_action2, tr.stage_payoff):
+                digest.update(arr.tobytes())
+            digest.update(str(tr.absorption_stage).encode())
+    assert digest.hexdigest() == (
+        "0b2058966bbdd8a3127517c700da1b1337203d6a96054e20b8e95bc8afd330d4")
 
 
 def test_alternating_adversary_by_stage_parity(bm, live):

@@ -5,7 +5,7 @@ import pytest
 
 from stochgame import GameSpec, GameValidationError, big_match, load_game, \
     normalize_payoffs, save_game, validate_game
-from stochgame.games import (PROB_TOL, is_absorbing, sample_rows,
+from stochgame.games import (PROB_TOL, is_absorbing, sample_rows, take_rows,
                              transition_cdf)
 
 from conftest import make_rng
@@ -214,6 +214,22 @@ def test_sample_rows_counts_as_the_reduction_did(width):
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
     assert sample_rows(cum[0, 0], u[0, 0]) == want[0, 0]  # one scalar draw
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_take_rows_is_the_fancy_index(width):
+    """One take at the flat index gathers the rows that fancy indexing by
+    every leading axis does, on tables of 1 to 4 leading axes; an index
+    past the flat range is refused."""
+    rng = make_rng(80 + width)
+    for ndim in range(1, 5):
+        shape = tuple(int(n) for n in rng.integers(2, 5, size=ndim))
+        table = rng.random((*shape, width))
+        idx = tuple(rng.integers(0, n, size=50) for n in shape)
+        np.testing.assert_array_equal(take_rows(table, *idx), table[idx])
+        with pytest.raises(IndexError):
+            take_rows(table, *(np.full(50, n - 1) for n in shape[:-1]),
+                      np.full(50, shape[-1]))
 
 
 def test_transition_cdf_rows_end_at_one(bm_game):

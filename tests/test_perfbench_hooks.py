@@ -48,21 +48,37 @@ def test_traced_job_counts_adversary_components(tmp_path):
     assert layers["adversary.stored_cells"] == 80000
 
 
+# The sha256 of each job's outputs at seed 1 (result.json's digest): the
+# determinism contract, which a speed-up may not move.
+DIGESTS = {
+    "mc-uniform":
+        "dc03d1f2abac067c0b3c2963727f554dc839742ea0e028646b8e697e46da6873",
+    "mc-best-response":
+        "85871279f7494a4f234546d68b9017a6c3eccfaf89be32a6954b158c8768d624",
+    "impossibility":
+        "43ba6787511f1cc0ce05642706646b3ca0bbb688605448b0871683a92bdd3519",
+    "solve-cache":
+        "d975107fa57db47ff1d536b99cbffc562a82d5d9cf015eedc87965520d4c9f9a",
+}
+
+
 @pytest.mark.parametrize("workload", ["mc-uniform", "mc-best-response",
                                       "impossibility", "solve-cache"])
 def test_best_response_job_passes_its_checks(tmp_path, workload):
-    """Every benchmark job runs from the source checkout and every check on
-    its outputs passes: among them the oracle that replays the stored
-    policy by forward evaluation against the stored table, the exact
-    mixture-payoff oracle on adversary.json, the regexes that read the
-    impossibility report, and the memory checks that read stats.csv's
-    exceed_rate and uniform_exceed_rate."""
+    """Every benchmark job runs from the source checkout, its outputs are
+    the pinned bytes, and every check on them passes: among them the oracle
+    that replays the stored policy by forward evaluation against the stored
+    table, the exact mixture-payoff oracle on adversary.json, the regexes
+    that read the impossibility report, and the memory checks that read
+    stats.csv's exceed_rate and uniform_exceed_rate."""
     job = subprocess.run(
         [sys.executable, "perfbench/job.py", "--workload", workload,
          "--seed", "1", "--out", str(tmp_path)],
         cwd=ROOT, env=source_env(), capture_output=True, text=True,
         timeout=120)
     assert job.returncode == 0, job.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["digest"] == DIGESTS[workload]
     code = ("import json, sys; sys.path.insert(0, 'perfbench'); "
             "import checks; print(json.dumps(checks.run_checks("
             f"{workload!r}, {str(tmp_path)!r})))")
