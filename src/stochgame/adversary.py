@@ -52,6 +52,9 @@ class PublicMemoryStrategyTable:
     memory_kernel: np.ndarray  # (T or 1, M, I, J, Z, M)
 
     def __post_init__(self):
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1 (or null for a "
+                             f"stationary table), got {self.horizon}")
         action = np.asarray(self.action, dtype=np.float64)
         kernel = np.asarray(self.memory_kernel, dtype=np.float64)
         m = self.memory_states
@@ -128,9 +131,12 @@ def load_strategy_table(path: str) -> PublicMemoryStrategyTable:
         if type(doc[key]) not in types:  # bool and 2.7 are not integers
             raise ValueError(f"{path}: field '{key}' must be a JSON integer"
                              f", got {json.dumps(doc[key])}")
-    return PublicMemoryStrategyTable(
-        memory_states=doc["M"], horizon=doc["horizon"],
-        action=action, memory_kernel=kernel)
+    try:
+        return PublicMemoryStrategyTable(
+            memory_states=doc["M"], horizon=doc["horizon"],
+            action=action, memory_kernel=kernel)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def from_counter_strategy(ngame: NormalizedGame, config, cache, cap: int,
@@ -360,15 +366,13 @@ class WorthlessnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class WorthlessnessCertificate:
-    """Everything the construction proves, stage by stage.
+    """Everything the construction proves, and its one verdict.
 
-    Entries are per construction step; the components after the last
-    step repeat its one-set.  stage_payoffs[i, t-1] is the exact per-stage
-    expected payoff r^i_t of the strategy against component i+1; budgets
-    the absorb-action mass over each one-set; switch_stages and tails the
-    n_i and the absorb-at-zero tail after it of each enlargement step.
-    Certified stages are those at or beyond t_delta = max n_i, where the
-    count of components with r^i_t >= delta may not exceed M+1.
+    Entries are per construction step: budgets the absorb-action mass over
+    each one-set, switch_stages and tails the n_i and the absorb-at-zero
+    tail after it.  max_exceed_count is the most components whose exact
+    stage payoff r^i_t is >= delta at a stage t >= t_delta = max n_i, and
+    witness_value the least late-window (last tenth) mean of r^i_t.
     """
 
     delta: float
@@ -378,43 +382,37 @@ class WorthlessnessCertificate:
     switch_stages: tuple[int, ...]
     budgets: tuple[float, ...]
     tails: tuple[float, ...]
-    stage_payoffs: np.ndarray  # (steps, T)
+    max_exceed_count: int
+    witness_value: float
     mixture_avg_payoff: float
 
     @property
     def t_delta(self) -> int:
-        return max(self.switch_stages) if self.switch_stages else 1
+        return max(self.switch_stages, default=1)
+
+    def _checks(self) -> tuple[bool, bool, bool, bool]:
+        """Budget, tail, count and mixture-average conditions."""
+        return (max(self.budgets) < self.delta / 3,
+                max(self.tails, default=0.0) < TAIL_TOL,
+                self.max_exceed_count <= self.memory_states + 1,
+                self.mixture_avg_payoff < 3 * self.delta)
 
     @property
-    def witness_value(self) -> float:
-        """Finite proxy for the eventual-payoff witness: the smallest
-        late-window (last tenth of the horizon) average of per-stage
-        payoffs across components."""
-        window = max(1, self.horizon // 10)
-        return float(self.stage_payoffs[:, -window:].mean(axis=1).min())
-
-    @property
-    def max_exceed_count(self) -> int:
-        """Most components still collecting >= delta at a certified stage;
-        the last step's row is below delta there, so its repeats add none."""
-        certified = self.stage_payoffs[:, self.t_delta - 1:]
-        return int((certified >= self.delta).sum(axis=0).max())
+    def passed(self) -> bool:
+        return all(self._checks())
 
     def lines(self) -> list[str]:
-        max_count = self.max_exceed_count
-        max_tail = max(self.tails) if self.tails else 0.0
+        verdict = ["PASS" if ok else "FAIL" for ok in self._checks()]
         return [
             f"components: {self.n_components}  "
             f"(memory states {self.memory_states}, delta {self.delta:g})",
             f"t_delta (max switch stage): {self.t_delta}",
             f"max budget: {max(self.budgets):.6g} < delta/3 = "
-            f"{self.delta / 3:.6g}: "
-            f"{'PASS' if max(self.budgets) < self.delta / 3 else 'FAIL'}",
-            f"max truncation tail: {max_tail:.3e} < {TAIL_TOL:g}: "
-            f"{'PASS' if max_tail < TAIL_TOL else 'FAIL'}",
-            f"certificate count: max {max_count} "
-            f"<= M+1 = {self.memory_states + 1}: "
-            f"{'PASS' if max_count <= self.memory_states + 1 else 'FAIL'}",
+            f"{self.delta / 3:.6g}: {verdict[0]}",
+            f"max truncation tail: {max(self.tails, default=0.0):.3e} < "
+            f"{TAIL_TOL:g}: {verdict[1]}",
+            f"certificate count: max {self.max_exceed_count} "
+            f"<= M+1 = {self.memory_states + 1}: {verdict[2]}",
             f"exact mixture average payoff at horizon: "
             f"{self.mixture_avg_payoff:.6g} (target < 3*delta = "
             f"{3 * self.delta:g})",
@@ -466,8 +464,8 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     exceeds (M+1)/delta; once a step adds no pair, the remaining components
     equal the last one.  The one-sets are nested, so the mixture is stored
     as the first component that plays one at each cell, a (T, M) int64 map.
-    The size check counts the builder's (T, M) and (T,) arrays, not the
-    certificate's payoff rows, one (T,) row per step.
+    The size check counts the builder's (T, M) and (T,) arrays; each
+    step's stage payoffs feed the certificate as they are made.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -497,18 +495,21 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     switch_stages: list[int] = []
     budgets: list[float] = []
     tails: list[float] = []
-    stage_payoffs: list[np.ndarray] = []
+    exceed = np.zeros(horizon, dtype=np.int64)  # components >= delta per stage
+    witness, total = math.inf, 0.0
 
     for comp_index in range(n_components):
         ones = first <= comp_index
         occupancy, absorb0, payoffs = _forward_pass(a, c, kc0, kc1, ones)
-        stage_payoffs.append(payoffs)
         budgets.append(float(a[ones].sum()))
+        witness = min(witness, float(payoffs[-max(1, horizon // 10):].mean()))
+        total += payoffs.sum()
+        hot = np.flatnonzero(payoffs >= delta)
+        exceed[hot] += 1
         if comp_index == n_components - 1:
             break
 
         # each hot stage takes its heaviest unused cell; used cells read -1
-        hot = np.flatnonzero(payoffs >= delta)
         np.copyto(occupancy, -1.0, where=ones)
         pick = occupancy.argmax(axis=1)[hot]
         threshold = delta / (3.0 * m_states)
@@ -540,12 +541,14 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
             break  # the one-set is final: every later step would repeat it
         first[hot[late], pick[late]] = comp_index + 1
 
-    rows = np.array(stage_payoffs)
-    total = rows.sum() + (n_components - len(rows)) * rows[-1].sum()
+    # later components repeat the last step, below delta from t_delta on
+    total += (n_components - len(budgets)) * payoffs.sum()
     certificate = WorthlessnessCertificate(
         delta=delta, horizon=horizon, memory_states=m_states,
         n_components=n_components, switch_stages=tuple(switch_stages),
-        budgets=tuple(budgets), tails=tuple(tails), stage_payoffs=rows,
+        budgets=tuple(budgets), tails=tuple(tails),
+        max_exceed_count=int(exceed[max(switch_stages, default=1) - 1:].max()),
+        witness_value=witness,
         mixture_avg_payoff=float(total / (n_components * horizon)))
     return WorthlessnessResult(
         mixture=MixedClockedAdversary(first, n_components, idx),

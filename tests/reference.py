@@ -255,7 +255,7 @@ def _forward_pass(a, c, kc0, kc1, ones, horizon):
 def worthlessness_reference(ngame, sigma, delta: float, horizon: int):
     """Per-stage twin of build_worthlessness_adversary: the forward pass
     and the cell selection walk the stages one at a time.  Returns the same
-    WorthlessnessResult."""
+    WorthlessnessResult and the (steps, T) stage payoffs it is read off."""
     idx = big_match_indices(ngame)
     m_states = sigma.memory_states
     n_components = (1 if delta >= 1.0
@@ -319,14 +319,20 @@ def worthlessness_reference(ngame, sigma, delta: float, horizon: int):
 
     rows = np.array(stage_payoffs)
     total = rows.sum() + (n_components - len(rows)) * rows[-1].sum()
+    t_delta = max(switch_stages) if switch_stages else 1
+    window = max(1, horizon // 10)
     certificate = WorthlessnessCertificate(
         delta=delta, horizon=horizon, memory_states=m_states,
         n_components=n_components, switch_stages=tuple(switch_stages),
-        budgets=tuple(budgets), tails=tuple(tails), stage_payoffs=rows,
+        budgets=tuple(budgets), tails=tuple(tails),
+        # the last step's row is below delta from t_delta on, so its
+        # repeats add no count there
+        max_exceed_count=int((rows[:, t_delta - 1:] >= delta).sum(axis=0).max()),
+        witness_value=float(rows[:, -window:].mean(axis=1).min()),
         mixture_avg_payoff=float(total / (n_components * horizon)))
     return WorthlessnessResult(
         mixture=MixedClockedAdversary(first, n_components, idx),
-        certificate=certificate)
+        certificate=certificate), rows
 
 
 def adversary_json_reference(delta: float, horizon: int, memory_states: int,

@@ -5,6 +5,7 @@ Fraction-arithmetic play evaluation plus brute-force enumeration over pure
 clocked policies.
 """
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -453,7 +454,22 @@ def test_big_match_indices_rejects_other_games():
 
 # ----------------------------------------------- worthlessness mixture
 
-def test_worthlessness_always_continue(bm):
+@pytest.fixture
+def stage_rows(monkeypatch):
+    """The (T,) stage payoffs of each construction step, recorded as
+    adversary._forward_pass hands them to the builder."""
+    rows = []
+    forward = adversary._forward_pass
+
+    def record(*args):
+        out = forward(*args)
+        rows.append(out[2])
+        return out
+    monkeypatch.setattr(adversary, "_forward_pass", record)
+    return rows
+
+
+def test_worthlessness_always_continue(bm, stage_rows):
     res = build_worthlessness_adversary(bm, stationary_table(0.0),
                                         delta=0.1, horizon=10_000)
     cert = res.certificate
@@ -464,7 +480,7 @@ def test_worthlessness_always_continue(bm):
     assert cert.switch_stages == (1, 1)
     assert cert.mixture_avg_payoff == pytest.approx(1.0 / 21.0, rel=1e-12)
     # only the all-zeros component pays; every enlarged one starves
-    component_avgs = cert.stage_payoffs.mean(axis=1)
+    component_avgs = np.mean(stage_rows, axis=1)
     assert component_avgs[0] == pytest.approx(1.0)
     assert max(component_avgs[1:]) == pytest.approx(0.0)
     assert cert.witness_value == pytest.approx(0.0, abs=1e-12)
@@ -472,23 +488,18 @@ def test_worthlessness_always_continue(bm):
     assert all(b < 0.1 / 3.0 for b in cert.budgets)
 
 
-def test_worthlessness_stops_once_components_repeat(bm, monkeypatch):
+def test_worthlessness_stops_once_components_repeat(bm, stage_rows):
     """Once an enlargement step adds no cell, the rest of the mixture
     repeats it: no further forward pass, and no certificate entry."""
-    calls = []
-    forward = adversary._forward_pass
-    monkeypatch.setattr(adversary, "_forward_pass",
-                        lambda *a: calls.append(1) or forward(*a))
     res = build_worthlessness_adversary(bm, stationary_table(0.0),
                                         delta=0.05, horizon=2000)
     cert = res.certificate
-    assert len(calls) <= 3
     comps = res.mixture.components
     assert len(comps) == 41  # floor((1+1)/0.05) + 1
     assert len({c.ones for c in comps}) == 2
     assert all(c is comps[1] for c in comps[1:])  # equal sets, one object
     assert cert.n_components == 41
-    assert cert.stage_payoffs.shape == (2, 2000)
+    assert np.shape(stage_rows) == (2, 2000)  # two forward passes
     assert len(cert.budgets) == 2
     assert cert.switch_stages == (1, 1)
     assert len(cert.tails) == 2
@@ -507,7 +518,7 @@ def test_worthlessness_half_absorbing(bm):
     assert all(t < 1e-3 for t in cert.tails)
 
 
-def test_worthlessness_capped_counter(bm, config, cache):
+def test_worthlessness_capped_counter(bm, config, cache, stage_rows):
     tab = from_counter_strategy(bm, config, cache, 8, 10_000)
     res = build_worthlessness_adversary(bm, tab, delta=0.1, horizon=10_000)
     cert = res.certificate
@@ -525,7 +536,7 @@ def test_worthlessness_capped_counter(bm, config, cache):
     assert cert.max_exceed_count <= 10
     assert all(b < 0.1 / 3.0 for b in cert.budgets)
     assert all(t < 1e-3 for t in cert.tails)
-    assert cert.stage_payoffs.shape == (1, 10_000)
+    assert np.shape(stage_rows) == (1, 10_000)  # one forward pass
 
 
 def test_worthlessness_degenerate_delta(bm):
@@ -571,6 +582,23 @@ def test_worthlessness_certificate_lines(bm):
     ]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("budgets", (0.0, 0.05 / 3)), ("tails", (1e-3,)),
+    ("max_exceed_count", 3), ("mixture_avg_payoff", 3 * 0.05)])
+def test_worthlessness_every_condition_can_fail_the_verdict(bm, field,
+                                                            value):
+    """Each of the four conditions, set to its bound, flips the verdict;
+    the budget, tail and count lines then read FAIL, and the mixture
+    average line carries no PASS or FAIL of its own."""
+    cert = build_worthlessness_adversary(bm, stationary_table(0.0),
+                                         delta=0.05, horizon=2000).certificate
+    assert cert.passed
+    bad = dataclasses.replace(cert, **{field: value})
+    assert not bad.passed
+    fails = [line for line in bad.lines() if line.endswith("FAIL")]
+    assert len(fails) == (field != "mixture_avg_payoff")
+
+
 def random_stage_table(seed, m_states, horizon):
     """Per-stage table that absorbs with probability below 0.002 and moves
     the memory by random dense rows."""
@@ -587,13 +615,16 @@ def random_stage_table(seed, m_states, horizon):
                                         ("cap", 8), ("cap", 32),
                                         ("random", 5), ("random", 12)])
 def test_worthlessness_matches_per_stage_reference(bm, config, cache, kind,
-                                                   size):
+                                                   size, stage_rows):
     """The whole-array builder and the per-stage reference choose the same
-    cells, switch stages and budgets.  Stage payoffs and tails are
-    bit-equal on the always-continue and counter tables.  On random
-    per-stage tables the masked row sums group the cells by contiguous runs
-    while the reference sums the compacted cells, so the last bit may
-    differ there, within a tolerance set from the float64 epsilon."""
+    cells, switch stages and budgets, and the builder's running count,
+    witness and mixture total equal those the reference reads off its
+    stored rows.  The stage payoffs each forward pass hands the builder,
+    and the tails, are bit-equal on the always-continue and counter
+    tables.  On random per-stage tables the masked row sums group the
+    cells by contiguous runs while the reference sums the compacted cells,
+    so the last bit may differ there, within a tolerance set from the
+    float64 epsilon."""
     horizon = 400 if kind == "random" else 3000
     if kind == "always-c":
         tab, delta = stationary_table(0.0), 0.05
@@ -603,21 +634,27 @@ def test_worthlessness_matches_per_stage_reference(bm, config, cache, kind,
     else:
         tab, delta = random_stage_table(160 + size, size, horizon), 0.1
     got = build_worthlessness_adversary(bm, tab, delta, horizon)
-    want = worthlessness_reference(bm, tab, delta, horizon)
+    want, want_rows = worthlessness_reference(bm, tab, delta, horizon)
     np.testing.assert_array_equal(got.mixture.first, want.mixture.first)
     cert, ref = got.certificate, want.certificate
     assert cert.switch_stages == ref.switch_stages
     assert cert.budgets == ref.budgets
+    assert cert.max_exceed_count == ref.max_exceed_count
     assert cert.lines() == ref.lines()
+    rows = np.array(stage_rows)
+    read_off = [cert.witness_value, cert.mixture_avg_payoff]
     if kind == "random":
         assert len(cert.budgets) > 2  # several enlargement steps
         tol = 64 * np.finfo(np.float64).eps
         np.testing.assert_allclose(cert.tails, ref.tails, rtol=tol)
-        np.testing.assert_allclose(cert.stage_payoffs, ref.stage_payoffs,
-                                   rtol=tol, atol=tol)
+        np.testing.assert_allclose(rows, want_rows, rtol=tol, atol=tol)
+        np.testing.assert_allclose(
+            read_off, [ref.witness_value, ref.mixture_avg_payoff],
+            rtol=tol, atol=tol)
     else:
         assert cert.tails == ref.tails
-        assert cert.stage_payoffs.tobytes() == ref.stage_payoffs.tobytes()
+        assert rows.tobytes() == want_rows.tobytes()
+        assert read_off == [ref.witness_value, ref.mixture_avg_payoff]
 
 
 def test_worthlessness_memory_bounded_by_map(bm, config, cache):
@@ -625,38 +662,53 @@ def test_worthlessness_memory_bounded_by_map(bm, config, cache):
     the 8*T*M-byte map; one more (T, M) float array would take it past."""
     horizon = 20_000
     tab = from_counter_strategy(bm, config, cache, 16, horizon)
-    tracemalloc.start()
-    try:
-        build_worthlessness_adversary(bm, tab, 0.1, horizon)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_build(bm, tab, 0.1, horizon)
     assert peak <= 3.6 * 8 * horizon * tab.memory_states
 
 
-@pytest.mark.parametrize("cap, horizon, steps", [(None, 20_000, 2),
-                                                 (16, 20_000, 1),
-                                                 (32, 10_000, 10),
-                                                 (40, 30_000, 1)])
-def test_worthlessness_size_check_bounds_the_peak(bm, config, cache, cap,
-                                                  horizon, steps):
-    """The size check's 8*T*(5M + 16) bytes bound the builder's traced
-    peak: always-c (123 bytes per stage against 168) and counter caps 16,
-    32 and 40 (466, 1,268 and 1,090 against 808, 1,448 and 1,768).  The
-    always-c peak per stage is the same at T 2e4 and 2e5."""
-    if cap is None:
-        tab, delta = stationary_table(0.0), 0.05
-    else:
-        tab, delta = from_counter_strategy(bm, config, cache, cap,
-                                           horizon), 0.1
+def traced_build(bm, tab, delta, horizon):
+    """The builder's result and its traced peak in bytes."""
     tracemalloc.start()
     try:
         res = build_worthlessness_adversary(bm, tab, delta, horizon)
-        _, peak = tracemalloc.get_traced_memory()
+        return res, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cap, horizon, steps", [
+    (None, 20_000, 2), (16, 20_000, 1), (32, 10_000, 10), (40, 30_000, 1),
+    pytest.param((181, 3), 1000, 10, id="random181-1000-10"),
+    pytest.param((175, 2), 2000, 8, id="random175-2000-8")])
+def test_worthlessness_size_check_bounds_the_peak(bm, config, cache, cap,
+                                                  horizon, steps):
+    """The size check's 8*T*(5M + 16) bytes bound the builder's traced
+    peak: always-c (131 bytes per stage against 168), counter caps 16, 32
+    and 40 (474, 1,212 and 1,098 against 808, 1,448 and 1,768), and random
+    per-stage tables, a (tag, M) pair here, of 10 and 8 steps (199 and
+    160 against 248 and 208).  The always-c peak per stage is the same at
+    T 2e4 and 2e5."""
+    if cap is None:
+        tab, delta = stationary_table(0.0), 0.05
+    elif isinstance(cap, tuple):
+        tab, delta = random_stage_table(*cap, horizon), 0.1
+    else:
+        tab, delta = from_counter_strategy(bm, config, cache, cap,
+                                           horizon), 0.1
+    res, peak = traced_build(bm, tab, delta, horizon)
     assert len(res.certificate.budgets) == steps
     assert peak <= 8 * horizon * (5 * tab.memory_states + 16)
+
+
+def test_worthlessness_peak_does_not_grow_with_steps(bm):
+    """The builder keeps no row per step: at M 3 and T 1000 a 10-step
+    build peaks within 2 % of an 8-step one."""
+    peaks = {}
+    for tag, steps in ((180, 8), (181, 10)):
+        res, peaks[tag] = traced_build(
+            bm, random_stage_table(tag, 3, 1000), 0.1, 1000)
+        assert len(res.certificate.budgets) == steps
+    assert abs(peaks[181] - peaks[180]) <= 0.02 * peaks[180], peaks
 
 
 # ----------------------------------------------------- engine adapters

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -272,6 +273,26 @@ def test_table_with_fractional_horizon_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_table_with_horizon_below_one_exits_two(tmp_path, capsys, horizon):
+    """Such a table is refused on load, naming the file and the field,
+    not later by every run as too short for the requested horizon."""
+    table = PublicMemoryStrategyTable(
+        memory_states=1, horizon=None, action=np.full((1, 1, 2), 0.5),
+        memory_kernel=np.ones((1, 1, 2, 2, 3, 1)))
+    path = tmp_path / "table.json"
+    save_strategy_table(table, str(path))
+    doc = json.loads(path.read_text())
+    doc["horizon"] = horizon
+    path.write_text(json.dumps(doc))
+    code = run_cli(["simulate", "--sigma", str(path), "--horizon", "10",
+                    "--replications", "1"], tmp_path / "out")
+    assert code == 2
+    assert (f"{path}: horizon must be >= 1 (or null for a stationary "
+            f"table), got {horizon}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_stationary_needs_rate(tmp_path, capsys):
     code = run_cli(["simulate", "--sigma", "stationary-lambda",
                     "--horizon", "10", "--replications", "2"], tmp_path)
@@ -465,6 +486,29 @@ def test_impossibility_exact_average_above_bound_exits_three(tmp_path, seed):
     assert code == 3
     report = (tmp_path / "impossibility_report.txt").read_text()
     assert "exact mixture average payoff at horizon: 0.302086" in report
+    assert "certification gamma_T <= 3*delta + 3*SE: PASS" in report
+    assert ("exact certification (mixture average < 3*delta, every check "
+            "PASS): FAIL") in report
+
+
+def test_impossibility_count_above_bound_exits_three(tmp_path, monkeypatch):
+    """A certificate whose count is M+2 fails the exact verdict, and the
+    run exits 3, although its mixture average and simulation pass."""
+    build = stochgame.adversary.build_worthlessness_adversary
+
+    def over_count(*args):
+        res = build(*args)
+        return dataclasses.replace(res, certificate=dataclasses.replace(
+            res.certificate,
+            max_exceed_count=res.certificate.memory_states + 2))
+    monkeypatch.setattr(stochgame.adversary, "build_worthlessness_adversary",
+                        over_count)
+    monkeypatch.setattr(stochgame.engine, "monte_carlo", stub_monte_carlo)
+    code = run_cli(["impossibility", "--sigma", "always-c", "--delta", "0.1",
+                    "--horizon", "2000"], tmp_path)
+    assert code == 3
+    report = (tmp_path / "impossibility_report.txt").read_text()
+    assert "certificate count: max 3 <= M+1 = 2: FAIL" in report
     assert "certification gamma_T <= 3*delta + 3*SE: PASS" in report
     assert ("exact certification (mixture average < 3*delta, every check "
             "PASS): FAIL") in report
