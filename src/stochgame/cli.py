@@ -51,10 +51,11 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _workers(args) -> int:
-    if args.workers < 1:
+def _check_run(args) -> None:
+    """Reject a bad run size or --workers before anything is built."""
+    engine.check_run(args.horizon, args.replications, args.seed)
+    if getattr(args, "workers", 1) < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    return args.workers
 
 
 def _build_adversary(args, ngame, config, cache):
@@ -139,11 +140,12 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     _, ngame = _load_game_arg(args.game)
-    workers = _workers(args)
+    _check_run(args)
     sigma, tau = _players(args, ngame)
     stats = engine.monte_carlo(ngame, sigma, tau, args.horizon,
                                args.replications, args.seed,
-                               checkpoints=args.checkpoints, workers=workers)
+                               checkpoints=args.checkpoints,
+                               workers=args.workers)
     stats = dataclasses.replace(stats, mean_avg_payoff={  # in game units
         n: float(ngame.denormalize(v))
         for n, v in stats.mean_avg_payoff.items()},
@@ -174,7 +176,7 @@ def cmd_impossibility(args) -> int:
     delta, horizon = args.delta, args.horizon
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta:g}")
-    workers = _workers(args)
+    _check_run(args)
 
     if (args.sigma is None) == (args.wrap_counter_cap is None):
         raise ValueError("exactly one of --sigma or --wrap-counter-cap is "
@@ -202,7 +204,7 @@ def cmd_impossibility(args) -> int:
     sigma = engine.TableStrategy(table)
     stats = engine.monte_carlo(ngame, sigma, result.mixture, horizon,
                                args.replications, args.seed,
-                               checkpoints=(horizon,), workers=workers)
+                               checkpoints=(horizon,), workers=args.workers)
     sim_mean = stats.mean_avg_payoff[horizon]
     sim_se = stats.payoff_se[horizon]
     certified = sim_mean <= 3.0 * delta + 3.0 * sim_se
@@ -237,6 +239,7 @@ def cmd_impossibility(args) -> int:
 
 def cmd_trace(args) -> int:
     _, ngame = _load_game_arg(args.game)
+    _check_run(args)
     sigma, tau = _players(args, ngame)
     traces = [dataclasses.replace(  # payoffs in game units
         trace, stage_payoff=ngame.denormalize(trace.stage_payoff))
@@ -309,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1)
         if workers:
             p.add_argument("--workers", type=int, default=1,
-                           help="parallel chunk workers; output identical "
-                                "for every value")
+                           help="accepted for existing callers (at least "
+                                "1); changes nothing, chunks run in order")
 
     p = command("solve", cmd_solve, "discounted values of a game")
-    rate(p, "discount rate in (0, 1]")
+    rate(p, "discount rate in [2.2250738585072014e-308, 1]")
     p.add_argument("--schedule", type=float_list,
                    help="comma-separated rates for a limit estimate")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,10 @@ class DiscountedSolution:
 
 
 def _check_rate(lam: float) -> None:
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"discount rate must lie in (0, 1], got {lam}")
+    tiny = float(np.finfo(float).tiny)  # below it, (1 - lam) / lam overflows
+    if not tiny <= lam <= 1.0:
+        raise ValueError(f"discount rate must lie in [{tiny!r}, 1], from the "
+                         f"least normal float up to 1, got {lam!r}")
 
 
 def _check_tol(tol: float) -> None:
@@ -168,6 +169,8 @@ def solve_discounted(ngame: NormalizedGame, lam: float, tol: float = DEFAULT_TOL
     SolverIterationError after max_iter rounds without one."""
     _check_rate(lam)
     _check_tol(tol)
+    if max_iter < 1:
+        raise ValueError(f"round cap max_iter must be >= 1, got {max_iter}")
     game = ngame.game
     nz = game.n_states
     x = np.zeros((nz, game.n_actions1))
@@ -197,7 +200,7 @@ def solve_discounted(ngame: NormalizedGame, lam: float, tol: float = DEFAULT_TOL
         raise SolverIterationError(
             f"no certificate after {max_iter} rounds at rate {lam:g} "
             f"(bracket width {residual:.3g}, tol {tol:g})",
-            values=low, residual=residual, iterations=max(max_iter, 0))
+            values=low, residual=residual, iterations=max_iter)
 
     for arr in (low, x, y):
         arr.flags.writeable = False
@@ -230,9 +233,8 @@ class SolutionCache:
     """Memoized discounted solutions along the counter grid s_k = gamma^k M.
 
     rate_source must expose rate_at(k); the counter configuration object
-    does.  Reads are lock-free once a level is present; inserts are
-    idempotent, so concurrent solvers of the same level agree.  Every level
-    is solved from scratch and certified to tol, however small its rate.
+    does.  Every level is solved once, from scratch, and certified to tol,
+    however small its rate.
     """
 
     def __init__(self, ngame: NormalizedGame, rate_source,
@@ -242,7 +244,6 @@ class SolutionCache:
         self.rate_source = rate_source
         self.tol = tol
         self._solutions: dict[int, DiscountedSolution] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._solutions)
@@ -253,10 +254,7 @@ class SolutionCache:
     def at(self, k: int) -> DiscountedSolution:
         if k < 0:
             raise ValueError(f"counter level must be >= 0, got {k}")
-        sol = self._solutions.get(k)
-        if sol is not None:
-            return sol
-        sol = solve_discounted(self.ngame, self.rate_source.rate_at(k),
-                               tol=self.tol)
-        with self._lock:
-            return self._solutions.setdefault(k, sol)
+        if k not in self._solutions:
+            self._solutions[k] = solve_discounted(
+                self.ngame, self.rate_source.rate_at(k), tol=self.tol)
+        return self._solutions[k]

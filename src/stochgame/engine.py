@@ -11,9 +11,9 @@ Randomness contract (the part everything else leans on):
   extra uniform at episode start, before stage 1.
 
 Because stream position is a pure function of the stage index, results are
-byte-identical for any replication chunking, stage blocking, or worker
-count: replications are partitioned into fixed-size chunks and partial
-reductions are combined in chunk order.
+byte-identical for any replication chunking or stage blocking: replications
+are partitioned into fixed-size chunks, run in order on the calling thread,
+and partial reductions are combined in chunk order.
 
 A chunk draws BLOCK_FLOATS uniforms (16 MB) at a time into a stage-major
 block, so that a draw reads its R uniforms contiguously, not a row apart;
@@ -24,9 +24,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +35,8 @@ from .games import (NormalizedGame, is_absorbing, probability_rows,
                     sample_rows, stage_row, take_rows, transition_cdf)
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99, 1.0)
-CHUNK = 8192  # replications per chunk: the unit of work shared out to workers
+CHUNK = 8192  # replications per chunk: bounds its generators' memory (about
+#               5.7 MB) and fixes the float summation order stats.csv pins
 BLOCK_FLOATS = 2_000_000  # uniforms a chunk draws at a time: 16 MB
 
 STATS_COLUMNS = ("n", "mean_avg_payoff", "payoff_se",
@@ -76,7 +74,7 @@ class CounterStrategy:
 
     Holds the cumulative rows of counter.level_table, the action mixtures
     and the level shifts, for levels 0 up to the deepest that play has
-    reached; the table grows under a lock when play goes deeper.
+    reached; the table grows when play goes deeper.
     """
 
     def __init__(self, ngame: NormalizedGame, config: CounterConfig,
@@ -87,24 +85,19 @@ class CounterStrategy:
         self._cum_act = np.zeros((0, game.n_states, game.n_actions1))
         self._cum_shift = np.zeros((0, game.n_states, game.n_actions1,
                                     game.n_actions2, game.n_states, 3))
-        self._lock = threading.Lock()
 
     def prepare(self, horizon: int) -> None:
         pass
 
     def act(self, t, z, k, u):
-        top = int(k.max()) + 1
-        if top > len(self._cum_act):
-            with self._lock:
-                have = len(self._cum_act)
-                if top > have:
-                    mix, shift = level_table(self.counter_config, self.cache,
-                                             range(have, top))
-                    # act rows last: their length is what the check reads
-                    self._cum_shift = np.concatenate(
-                        [self._cum_shift, np.cumsum(shift, axis=-1)])
-                    self._cum_act = np.concatenate(
-                        [self._cum_act, np.cumsum(mix, axis=-1)])
+        top, have = int(k.max()) + 1, len(self._cum_act)
+        if top > have:
+            mix, shift = level_table(self.counter_config, self.cache,
+                                     range(have, top))
+            self._cum_act = np.concatenate(
+                [self._cum_act, np.cumsum(mix, axis=-1)])
+            self._cum_shift = np.concatenate(
+                [self._cum_shift, np.cumsum(shift, axis=-1)])
         return sample_rows(take_rows(self._cum_act, k, z), u)
 
     def update_memory(self, t, z, k, i, j, z_next, u):
@@ -202,13 +195,6 @@ def _quantiles_from_hist(hist: np.ndarray, total: int) -> dict[float, int]:
             for q in QUANTILE_LEVELS}
 
 
-@dataclass
-class _ChunkResult:
-    # per checkpoint: (sum of average payoffs, sum of squares, max-memory hist)
-    records: list[tuple[float, float, np.ndarray]]
-    traces: list[EpisodeTrace]
-
-
 def _merge_hists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) < len(b):
         a, b = b, a
@@ -224,7 +210,9 @@ def _block_stages(horizon: int, rep_count: int) -> int:
 def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
                     base_seed: int, rep_start: int, rep_count: int,
                     checkpoints: tuple[int, ...],
-                    collect_traces: bool) -> _ChunkResult:
+                    collect_traces: bool) -> tuple[list, list[EpisodeTrace]]:
+    """(records, traces): per checkpoint, the sum of average payoffs, their
+    sum of squares and the max-memory histogram; traces if collected."""
     game = ngame.game
     nz, ni, nj = game.n_states, game.n_actions1, game.n_actions2
     tcdf = transition_cdf(game).reshape(-1, nz)  # one row per (z, i, j)
@@ -290,16 +278,11 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
             absorption_stage=int(first[r]) if landed[r, first[r]] else None)
             for r in range(rep_count)]
 
-    return _ChunkResult(records=records, traces=traces)
+    return records, traces
 
 
-def pool_size(workers: int, chunks: int) -> int:
-    """Threads for a run: no more than asked for, than there are chunks to
-    share out, or than the machine has cores."""
-    return min(workers, chunks, os.cpu_count() or 1)
-
-
-def _check_run(horizon: int, replications: int, base_seed: int) -> None:
+def check_run(horizon: int, replications: int, base_seed: int) -> None:
+    """Reject a run size that monte_carlo and run_traces cannot play."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if replications < 1:
@@ -315,10 +298,11 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     """Simulate replications of (sigma, tau) and aggregate statistics.
 
     Replication r draws from the Philox stream keyed (base_seed, r); chunks
-    hold CHUNK replications each, and partial results combine in chunk
-    order, so the output is identical for any worker count.
+    of CHUNK replications run in order, each folded into the running sums
+    as it finishes.  workers (>= 1) is accepted for existing callers and
+    changes nothing.
     """
-    _check_run(horizon, replications, base_seed)
+    check_run(horizon, replications, base_seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if checkpoints is None:
@@ -331,25 +315,14 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
     tau.prepare(horizon)
     config = sigma.counter_config
 
-    chunks = [(start, min(CHUNK, replications - start))
-              for start in range(0, replications, CHUNK)]
-
-    def run(chunk):
-        start, count = chunk
-        return _simulate_chunk(ngame, sigma, tau, horizon, base_seed, start,
-                               count, checkpoints, False)
-
-    threads = pool_size(workers, len(chunks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
-
-    records = results[0].records
-    for res in results[1:]:
-        records = [(s + rs, sq + rsq, _merge_hists(h, rh))
-                   for (s, sq, h), (rs, rsq, rh) in zip(records, res.records)]
+    records = None
+    for start in range(0, replications, CHUNK):
+        part, _ = _simulate_chunk(ngame, sigma, tau, horizon, base_seed,
+                                  start, min(CHUNK, replications - start),
+                                  checkpoints, False)
+        records = part if records is None else [
+            (s + ps, sq + psq, _merge_hists(h, ph))
+            for (s, sq, h), (ps, psq, ph) in zip(records, part)]
 
     n_reps = replications
     mean = {}
@@ -388,7 +361,7 @@ def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
     per replication-stage (traces, absorbed mask); per replication its
     block and group rows and 2 KB (generator, EpisodeTrace); 64 KB fixed.
     """
-    _check_run(horizon, replications, base_seed)
+    check_run(horizon, replications, base_seed)
     block = _block_stages(horizon, replications)
     need = replications * (41 * horizon + 64 * block + 2048) + (1 << 16)
     if need > MAX_TABLE_BYTES:
@@ -399,7 +372,7 @@ def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
     sigma.prepare(horizon)
     tau.prepare(horizon)
     return _simulate_chunk(ngame, sigma, tau, horizon, base_seed, 0,
-                           replications, (), True).traces
+                           replications, (), True)[1]
 
 
 # ---------------------------------------------------------------------------

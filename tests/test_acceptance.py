@@ -207,8 +207,8 @@ def uniform_memory_hist(bm, config, cache):
     against the uniform column mixture."""
     sigma = CounterStrategy(bm, config, cache)
     tau = stationary_adversary(np.full((3, 2), 0.5))
-    records = _simulate_chunk(bm, sigma, tau, MEMORY_CHECKPOINTS[-1], 405, 0,
-                              MEMORY_REPS, MEMORY_CHECKPOINTS, False).records
+    records, _ = _simulate_chunk(bm, sigma, tau, MEMORY_CHECKPOINTS[-1], 405,
+                                 0, MEMORY_REPS, MEMORY_CHECKPOINTS, False)
     return [hist for _, _, hist in records]
 
 
@@ -527,9 +527,9 @@ def test_criterion_10_matrix_solver(bm):
 # --------------------------------------------------------------------- 11
 
 def test_criterion_11_deterministic_replay(tmp_path, monkeypatch):
-    """Identical seeds give byte-identical CSV outputs regardless of the
-    worker count; 17-replication chunks split the 96 replications six
-    ways, so several threads share them out."""
+    """Identical seeds give byte-identical CSV outputs whatever --workers
+    says; 17-replication chunks split the 96 replications six ways, and
+    --workers is accepted over several chunks without changing a byte."""
     monkeypatch.setattr(engine, "CHUNK", 17)
     args = ["simulate", "--horizon", "400", "--replications", "96",
             "--seed", "2026"]

@@ -113,6 +113,27 @@ def test_negative_tolerance_exits_two(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_round_cap_below_one_exits_two(tmp_path, capsys, cap):
+    assert run_cli(["solve", "--lambda", "0.5", "--max-iterations", cap],
+                   tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"max_iter must be >= 1, got {cap}" in err
+    assert "did not converge" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "1e-320"],
+    ["--lambda", "4e-309"],
+    ["--schedule", "0.1,1e-320"],
+])
+def test_subnormal_rate_exits_two(capsys, argv):
+    assert cli.main(["solve", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "least normal float" in err
+    assert "non-finite" not in err
+
+
 def test_solve_iteration_cap_exits_numeric(tmp_path, capsys):
     path = tmp_path / "big_match_08.json"
     save_game(big_match_paying(0.8), str(path))
@@ -208,6 +229,31 @@ def test_workers_below_one_exit_two(tmp_path, capsys, command, extra):
     assert code == 2
     assert "--workers" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # rejected before any work
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["impossibility", "--wrap-counter-cap", "40", "--horizon", "150000",
+      "--replications", "0"], "replications must be >= 1"),
+    (["impossibility", "--sigma", "always-c", "--horizon", "1500000",
+      "--seed", "-1"], "base_seed must fit"),
+    (["simulate", "--adversary", "best-response", "--br-cap", "300",
+      "--horizon", "100000", "--replications", "0"],
+     "replications must be >= 1"),
+    (["simulate", "--adversary", "best-response", "--horizon", "0"],
+     "horizon must be >= 1"),
+    (["trace", "--adversary", "best-response", "--br-cap", "300",
+      "--horizon", "100000", "--seed", "-1"], "base_seed must fit"),
+])
+def test_run_size_checked_before_any_build(tmp_path, capsys, monkeypatch,
+                                           argv, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a player before checking the run size")
+    for name in ("from_counter_strategy", "best_response_public",
+                 "build_worthlessness_adversary"):
+        monkeypatch.setattr(stochgame.adversary, name, no_build)
+    assert run_cli(argv, tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -678,6 +724,8 @@ def test_console_script_installed():
 
 @pytest.mark.parametrize("rate, code, stream, text", [
     ("0.01", cli.EXIT_OK, "stdout", "state live: value 0.5"),
+    ("2.2250738585072014e-308", cli.EXIT_OK, "stdout",
+     "iterations 1, residual 0"),
     ("1.7", cli.EXIT_CONFIG, "stderr", "discount rate"),
 ])
 def test_module_entry_passes_exit_code(rate, code, stream, text):

@@ -135,9 +135,28 @@ def test_lambda_one_is_myopic(bm, live):
 
 
 def test_rejects_bad_rate(bm):
-    for lam in (0.0, -0.1, 1.5):
+    for lam in (0.0, -0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
             solve_discounted(bm, lam)
+
+
+def test_rate_must_be_a_normal_float(bm, live):
+    """Below the least normal float, (1 - lam) / lam overflows: the rate is
+    rejected by name, not left to warn and fail on non-finite payoffs."""
+    tiny = np.finfo(float).tiny
+    for lam in (1e-320, 4e-309, np.nextafter(tiny, 0.0)):
+        with pytest.raises(ValueError, match="least normal float"):
+            solve_discounted(bm, lam)
+        with pytest.raises(ValueError, match="least normal float"):
+            estimate_value_limit(bm, (0.1, lam))
+    sol = solve_discounted(bm, tiny)
+    assert sol.values[live] == 0.5 and sol.residual == 0.0
+
+
+def test_round_cap_must_be_positive(bm):
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            solve_discounted(bm, 0.5, max_iter=max_iter)
 
 
 def test_rejects_negative_tolerance(bm, config):

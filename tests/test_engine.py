@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import threading
 import tracemalloc
 import types
 
@@ -15,9 +16,8 @@ from stochgame.adversary import (MarkovAdversary, pure_column_adversary,
 from stochgame import engine
 from stochgame.engine import (CounterStrategy, EpisodeTrace,
                               StationaryStrategy, TableStrategy,
-                              default_checkpoints, monte_carlo, pool_size,
-                              run_traces, write_statistics_csv,
-                              write_trace_csv)
+                              default_checkpoints, monte_carlo, run_traces,
+                              write_statistics_csv, write_trace_csv)
 from stochgame.adversary import (PublicMemoryStrategyTable,
                                  build_worthlessness_adversary)
 from stochgame.counter import FeasibilityError
@@ -160,21 +160,23 @@ def test_worker_count_invariance(bm, counter_sigma, uniform_tau, monkeypatch):
                             workers=workers)
         assert other == base
 
-    # several chunks, shared out to workers, must also be worker-invariant
+    # several chunks: workers is accepted and still changes nothing
     monkeypatch.setattr(engine, "CHUNK", 17)
     a = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11)
     b = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11, workers=4)
     assert a == b
 
 
-def test_pool_size_clamps_workers(monkeypatch):
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
-    assert pool_size(1, 10) == 1
-    assert pool_size(3, 10) == 3
-    assert pool_size(10 ** 9, 2) == 2      # no more threads than chunks
-    assert pool_size(10 ** 9, 10 ** 6) == 4  # nor than cores
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
-    assert pool_size(8, 8) == 1
+def test_several_chunks_start_no_thread(bm, counter_sigma, uniform_tau,
+                                        monkeypatch):
+    """Chunks run in order on the calling thread, whatever workers asks."""
+    def no_thread(self):
+        raise AssertionError("monte_carlo started a thread")
+    monkeypatch.setattr(engine, "CHUNK", 17)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    stats = monte_carlo(bm, counter_sigma, uniform_tau, 200, 64, 11,
+                        workers=4)
+    assert stats.replications == 64
 
 
 def test_workers_must_be_positive(bm, counter_sigma, uniform_tau):
@@ -322,9 +324,7 @@ def test_monte_carlo_setup_is_not_proportional_to_horizon(
     """Nothing of the horizon's length is allocated outside the chunks."""
     def stub(ngame, sigma, tau, horizon, base_seed, rep_start, rep_count,
              checkpoints, collect_traces):
-        return engine._ChunkResult(
-            records=[(0.0, 0.0, np.array([rep_count])) for _ in checkpoints],
-            traces=[])
+        return [(0.0, 0.0, np.array([rep_count])) for _ in checkpoints], []
 
     monkeypatch.setattr(engine, "_simulate_chunk", stub)
     tracemalloc.start()
