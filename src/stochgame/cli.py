@@ -52,9 +52,11 @@ def _out_path(args, name: str) -> str:
 
 
 def _check_run(args) -> None:
-    """Reject a bad run size or --workers before anything is built."""
-    engine.check_run(args.horizon, args.replications, args.seed)
-    if getattr(args, "workers", 1) < 1:
+    """Reject a bad run size, --checkpoints or --workers before anything is
+    built."""
+    engine.check_run(args.horizon, args.replications, args.seed,
+                     getattr(args, "checkpoints", None))
+    if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
 
 
@@ -89,6 +91,7 @@ def _build_sigma(args, ngame, config, cache):
     if os.path.exists(kind):
         table = advmod.load_strategy_table(kind)
         table.check_game(ngame.game)
+        table.check_horizon(args.horizon)
         return engine.TableStrategy(table)
     raise ValueError(f"unknown sigma '{kind}' (expected counter, "
                      f"stationary-lambda, or a table file path)")
@@ -239,7 +242,7 @@ def cmd_impossibility(args) -> int:
 
 def cmd_trace(args) -> int:
     _, ngame = _load_game_arg(args.game)
-    _check_run(args)
+    engine.check_traces(args.horizon, args.replications, args.seed)
     sigma, tau = _players(args, ngame)
     traces = [dataclasses.replace(  # payoffs in game units
         trace, stage_payoff=ngame.denormalize(trace.stage_payoff))

@@ -11,11 +11,12 @@ Randomness contract (the part everything else leans on):
   extra uniform at episode start, before stage 1.
 
 Because stream position is a pure function of the stage index, results are
-byte-identical for any replication chunking or stage blocking: replications
-are partitioned into fixed-size chunks, run in order on the calling thread,
-and partial reductions are combined in chunk order.
+byte-identical for any replication chunking or stage blocking.  One play
+loop, _play, yields every stage to two readers: monte_carlo folds chunks of
+replications, played in order on the calling thread, into checkpoint
+statistics in chunk order; run_traces keeps whole traces.
 
-A chunk draws BLOCK_FLOATS uniforms (16 MB) at a time into a stage-major
+A play draws BLOCK_FLOATS uniforms (16 MB) at a time into a stage-major
 block, so that a draw reads its R uniforms contiguously, not a row apart;
 the streams fill a group buffer of about 2 MB, transposed in while cached.
 """
@@ -207,33 +208,25 @@ def _block_stages(horizon: int, rep_count: int) -> int:
     return min(horizon, max(16, BLOCK_FLOATS // (4 * rep_count)))
 
 
-def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
-                    base_seed: int, rep_start: int, rep_count: int,
-                    checkpoints: tuple[int, ...],
-                    collect_traces: bool) -> tuple[list, list[EpisodeTrace]]:
-    """(records, traces): per checkpoint, the sum of average payoffs, their
-    sum of squares and the max-memory histogram; traces if collected."""
+def _play(ngame: NormalizedGame, sigma, tau, horizon: int, base_seed: int,
+          rep_start: int, rep_count: int):
+    """Play replications rep_start.. of (sigma, tau), yielding each stage's
+    (t, z, k, i, j, x), arrays of shape (rep_count,).  Readers must not write
+    into a yielded array, and none is written after it is yielded."""
     game = ngame.game
     nz, ni, nj = game.n_states, game.n_actions1, game.n_actions2
     tcdf = transition_cdf(game).reshape(-1, nz)  # one row per (z, i, j)
+    sigma.prepare(horizon)
+    tau.prepare(horizon)
 
     gens = [np.random.Generator(np.random.Philox(
         key=[base_seed, rep_start + r])) for r in range(rep_count)]
     comp = None
     if tau.init_draws:
-        u0 = np.array([g.random() for g in gens])
-        comp = tau.start(u0)
+        comp = tau.start(np.array([g.random() for g in gens]))
 
     z = np.full(rep_count, game.initial_state, dtype=np.int64)
     k = np.zeros(rep_count, dtype=np.int64)
-    pay_sum = np.zeros(rep_count)
-    max_mem = np.zeros(rep_count, dtype=np.int64)
-
-    records = []
-    if collect_traces:
-        tz, tk, ti, tj = np.zeros((4, rep_count, horizon), dtype=np.int64)
-        tx = np.zeros((rep_count, horizon))
-
     block = _block_stages(horizon, rep_count)
     u_block = np.empty((block, 4, rep_count))
     group = np.empty((min(rep_count, max(1, BLOCK_FLOATS // (32 * block))),
@@ -244,51 +237,51 @@ def _simulate_chunk(ngame: NormalizedGame, sigma, tau, horizon: int,
             for n, g in enumerate(gens[r0:r0 + len(group)], 1):
                 g.random(out=group[n - 1, :b])
             u_block[:b, :, r0:r0 + n] = group[:n, :b].transpose(1, 2, 0)
-        for t in range(start, start + b):
-            u = u_block[t - start]
-            np.maximum(max_mem, k, out=max_mem)
+        for t, u in enumerate(u_block[:b], start):
             i = sigma.act(t, z, k, u[0])
             j = tau.act(t, z, k, comp, u[1])
             zij = (z * ni + i) * nj + j
             z_next = sample_rows(tcdf.take(zij, axis=0), u[2])
             x = game.payoff.take(zij)
-            pay_sum += x
-            if collect_traces:
-                tz[:, t - 1] = z
-                tk[:, t - 1] = k
-                ti[:, t - 1] = i
-                tj[:, t - 1] = j
-                tx[:, t - 1] = x
+            yield t, z, k, i, j, x
             k = sigma.update_memory(t, z, k, i, j, z_next, u[3])
             z = z_next
-            if t in checkpoints:
-                rbar = pay_sum / t
-                records.append((rbar.sum(), (rbar * rbar).sum(),
-                                np.bincount(max_mem)))
-
-    traces = []
-    if collect_traces:
-        absorbing = np.array([is_absorbing(game, s) for s in range(nz)])
-        landed = absorbing[tz]
-        first = landed.argmax(axis=1)  # stage before landing; 0 if at start
-        traces = [EpisodeTrace(
-            seed=base_seed, replication=rep_start + r, horizon=horizon,
-            stage_state=tz[r], stage_memory=tk[r], stage_action1=ti[r],
-            stage_action2=tj[r], stage_payoff=tx[r],
-            absorption_stage=int(first[r]) if landed[r, first[r]] else None)
-            for r in range(rep_count)]
-
-    return records, traces
 
 
-def check_run(horizon: int, replications: int, base_seed: int) -> None:
-    """Reject a run size that monte_carlo and run_traces cannot play."""
+def check_run(horizon: int, replications: int, base_seed: int,
+              checkpoints=None) -> tuple[int, ...]:
+    """Reject a run that monte_carlo and run_traces cannot play; return its
+    checkpoints sorted without repeats (None: default_checkpoints)."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     if not 0 <= base_seed < 2 ** 64:
         raise ValueError("base_seed must fit in an unsigned 64-bit integer")
+    if checkpoints is None:
+        return default_checkpoints(horizon)
+    checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
+    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > horizon:
+        raise ValueError(f"checkpoints must lie in [1, {horizon}]")
+    return checkpoints
+
+
+def check_traces(horizon: int, replications: int, base_seed: int) -> None:
+    """check_run, and reject traces needing over MAX_TABLE_BYTES: 41 bytes
+    per replication-stage (traces, absorbed mask), per replication its
+    block and group rows and 2 KB (generator, EpisodeTrace), 64 KB fixed."""
+    check_run(horizon, replications, base_seed)
+    r, fixed = replications, (1 << 16) + 2048 * replications
+    need = fixed + r * (41 * horizon + 64 * _block_stages(horizon, r))
+    if need > MAX_TABLE_BYTES:
+        block = max(16, BLOCK_FLOATS // (4 * r))  # the block of a long run
+        longest = (MAX_TABLE_BYTES - fixed - 64 * r * block) // (41 * r)
+        if longest < block:  # then the run is one block: 105 bytes a stage
+            longest = (MAX_TABLE_BYTES - fixed) // (105 * r)
+        raise ValueError(f"the traces need {need:.3g} bytes, {need // r} per "
+                         f"replication, over the {MAX_TABLE_BYTES}-byte limit; "
+                         f"for {r} replication(s) the largest horizon that fits "
+                         f"is {max(longest, 0)}")
 
 
 def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
@@ -297,37 +290,33 @@ def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,
                 workers: int = 1) -> RunStatistics:
     """Simulate replications of (sigma, tau) and aggregate statistics.
 
-    Replication r draws from the Philox stream keyed (base_seed, r); chunks
-    of CHUNK replications run in order, each folded into the running sums
-    as it finishes.  workers (>= 1) is accepted for existing callers and
-    changes nothing.
-    """
-    check_run(horizon, replications, base_seed)
+    Replication r plays the Philox stream keyed (base_seed, r); each chunk
+    of CHUNK replications is folded into the running sums in order.
+    workers (>= 1) is accepted for existing callers and changes nothing."""
+    checkpoints = check_run(horizon, replications, base_seed, checkpoints)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(horizon)
-    checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > horizon:
-        raise ValueError(f"checkpoints must lie in [1, {horizon}]")
-
-    sigma.prepare(horizon)
-    tau.prepare(horizon)
     config = sigma.counter_config
 
     records = None
     for start in range(0, replications, CHUNK):
-        part, _ = _simulate_chunk(ngame, sigma, tau, horizon, base_seed,
-                                  start, min(CHUNK, replications - start),
-                                  checkpoints, False)
+        count = min(CHUNK, replications - start)
+        pay_sum, max_mem = np.zeros(count), np.zeros(count, dtype=np.int64)
+        part = []  # per checkpoint: payoff sum, sum of squares, histogram
+        for t, _, k, _, _, x in _play(ngame, sigma, tau, horizon, base_seed,
+                                      start, count):
+            np.maximum(max_mem, k, out=max_mem)
+            pay_sum += x
+            if t in checkpoints:
+                rbar = pay_sum / t
+                part.append((rbar.sum(), (rbar * rbar).sum(),
+                             np.bincount(max_mem)))
         records = part if records is None else [
             (s + ps, sq + psq, _merge_hists(h, ph))
             for (s, sq, h), (ps, psq, ph) in zip(records, part)]
 
     n_reps = replications
-    mean = {}
-    se = {}
-    quantiles = {}
+    mean, se, quantiles = {}, {}, {}
     for n, (total, total_sq, hist) in zip(checkpoints, records):
         mu = total / n_reps
         mean[n] = float(mu)
@@ -357,22 +346,25 @@ def run_traces(ngame: NormalizedGame, sigma, tau, horizon: int,
     """Simulate replications 0..replications-1 and keep their full traces.
 
     Trace r is bit-identical to what replication r of a monte_carlo run
-    with the same base_seed plays.  need bounds its allocations: 41 bytes
-    per replication-stage (traces, absorbed mask); per replication its
-    block and group rows and 2 KB (generator, EpisodeTrace); 64 KB fixed.
-    """
-    check_run(horizon, replications, base_seed)
-    block = _block_stages(horizon, replications)
-    need = replications * (41 * horizon + 64 * block + 2048) + (1 << 16)
-    if need > MAX_TABLE_BYTES:
-        raise ValueError(f"the traces need {need:.3g} bytes, "
-                         f"{need // replications} per replication, over the "
-                         f"{MAX_TABLE_BYTES}-byte limit; at most "
-                         f"{MAX_TABLE_BYTES // 40} replication-stages fit")
-    sigma.prepare(horizon)
-    tau.prepare(horizon)
-    return _simulate_chunk(ngame, sigma, tau, horizon, base_seed, 0,
-                           replications, (), True)[1]
+    with the same base_seed plays; check_traces bounds the bytes."""
+    check_traces(horizon, replications, base_seed)
+    zkij = np.zeros((4, replications, horizon), dtype=np.int64)
+    tx = np.zeros((replications, horizon))
+    for t, z, k, i, j, x in _play(ngame, sigma, tau, horizon, base_seed, 0,
+                                  replications):
+        zkij[:, :, t - 1] = z, k, i, j
+        tx[:, t - 1] = x
+    tz, tk, ti, tj = zkij
+    absorbing = np.array([is_absorbing(ngame.game, s)
+                          for s in range(ngame.game.n_states)])
+    landed = absorbing[tz]
+    first = landed.argmax(axis=1)  # stage before landing; 0 if at start
+    return [EpisodeTrace(
+        seed=base_seed, replication=r, horizon=horizon,
+        stage_state=tz[r], stage_memory=tk[r], stage_action1=ti[r],
+        stage_action2=tj[r], stage_payoff=tx[r],
+        absorption_stage=int(first[r]) if landed[r, first[r]] else None)
+        for r in range(replications)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ class GameSpec:
     """A finite zero-sum stochastic game with named states and actions.
 
     payoff has shape (Z, I, J); transition has shape (Z, I, J, Z) with
-    probability rows over the destination axis.  Arrays are read-only so a
-    spec can be shared freely across threads and worker processes.
+    probability rows over the destination axis.  Arrays are read-only so
+    one spec can be shared by every player and run that reads it.
     """
 
     states: tuple[str, ...]

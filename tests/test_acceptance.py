@@ -26,7 +26,7 @@ from stochgame.adversary import (BestResponseAdversary,
                                  from_counter_strategy, pure_column_adversary,
                                  stationary_adversary)
 from stochgame.counter import update_distribution
-from stochgame.engine import (CounterStrategy, TableStrategy, _simulate_chunk,
+from stochgame.engine import (CounterStrategy, TableStrategy, _play,
                               monte_carlo)
 from stochgame.matrix import solve_matrix_game
 
@@ -207,9 +207,14 @@ def uniform_memory_hist(bm, config, cache):
     against the uniform column mixture."""
     sigma = CounterStrategy(bm, config, cache)
     tau = stationary_adversary(np.full((3, 2), 0.5))
-    records, _ = _simulate_chunk(bm, sigma, tau, MEMORY_CHECKPOINTS[-1], 405,
-                                 0, MEMORY_REPS, MEMORY_CHECKPOINTS, False)
-    return [hist for _, _, hist in records]
+    max_mem = np.zeros(MEMORY_REPS, dtype=np.int64)
+    hists = []
+    for t, _, k, _, _, _ in _play(bm, sigma, tau, MEMORY_CHECKPOINTS[-1], 405,
+                                  0, MEMORY_REPS):
+        np.maximum(max_mem, k, out=max_mem)
+        if t in MEMORY_CHECKPOINTS:
+            hists.append(np.bincount(max_mem))
+    return hists
 
 
 def memory_engine_deviations(bm, config, cache, hists) -> list[float]:

@@ -243,6 +243,12 @@ def test_workers_below_one_exit_two(tmp_path, capsys, command, extra):
      "horizon must be >= 1"),
     (["trace", "--adversary", "best-response", "--br-cap", "300",
       "--horizon", "100000", "--seed", "-1"], "base_seed must fit"),
+    (["simulate", "--adversary", "best-response", "--br-cap", "300",
+      "--horizon", "100000", "--checkpoints", "200000", "--replications",
+      "1"], "checkpoints must lie in [1, 100000]"),
+    (["trace", "--adversary", "best-response", "--br-cap", "300",
+      "--horizon", "100000", "--replications", "1000"],
+     "largest horizon that fits is 5715"),
 ])
 def test_run_size_checked_before_any_build(tmp_path, capsys, monkeypatch,
                                            argv, message):
@@ -299,6 +305,27 @@ def test_table_for_another_game_exits_two(tmp_path, capsys, command):
                     "--replications", "1"], tmp_path / "out")
     assert code == 2
     assert "table dimensions do not match the game" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "trace"])
+def test_table_horizon_checked_before_the_adversary(tmp_path, capsys,
+                                                    monkeypatch, command):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the adversary before checking the table")
+    for name in ("from_counter_strategy", "best_response_public"):
+        monkeypatch.setattr(stochgame.adversary, name, no_build)
+    table = PublicMemoryStrategyTable(  # per-stage rows for 10 stages
+        memory_states=1, horizon=10, action=np.full((10, 1, 2), 0.5),
+        memory_kernel=np.ones((10, 1, 2, 2, 3, 1)))
+    path = tmp_path / "table.json"
+    save_strategy_table(table, str(path))
+    code = run_cli([command, "--sigma", str(path), "--adversary",
+                    "best-response", "--br-cap", "300", "--horizon", "100000",
+                    "--replications", "1"], tmp_path / "out")
+    assert code == 2
+    assert "horizon 100000 exceeds the table's horizon 10" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -597,10 +624,10 @@ def test_trace_writes_csv(tmp_path, capsys):
      stochgame.adversary, "_forward_pass",
      "largest horizon that fits is 151830"),
     (["trace", "--horizon", "7000000", "--replications", "1"],
-     stochgame.engine, "_simulate_chunk",
-     "at most 6710886 replication-stages fit"),
+     stochgame.engine, "_play",
+     "for 1 replication(s) the largest horizon that fits is 5765070"),
     (["trace", "--horizon", "1", "--replications", "6000000"],
-     stochgame.engine, "_simulate_chunk", "2153 per replication"),
+     stochgame.engine, "_play", "2153 per replication"),
 ])
 def test_oversized_run_exits_two(tmp_path, capsys, monkeypatch, argv, module,
                                  name, message):

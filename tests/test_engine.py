@@ -80,8 +80,9 @@ def test_uniform_block_is_held_once(bm, uniform_tau):
     for reps, horizon in ((4096, 2000), (256, 12000)):
         tracemalloc.start()
         try:
-            engine._simulate_chunk(bm, sigma, uniform_tau, horizon, 1, 0,
-                                   reps, (horizon,), False)
+            for _ in engine._play(bm, sigma, uniform_tau, horizon, 1, 0,
+                                  reps):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -107,6 +108,19 @@ def test_run_traces_allocates_what_it_counts(bm, uniform_tau, monkeypatch,
     monkeypatch.setattr(engine, "MAX_TABLE_BYTES", peak - 1)
     with pytest.raises(ValueError, match="per replication"):
         run_traces(bm, sigma, uniform_tau, horizon, reps, 1)
+
+
+@pytest.mark.parametrize("reps, longest", [(1, 5_765_070), (1000, 5715)])
+def test_trace_refusal_names_the_longest_horizon(reps, longest):
+    """The horizon the refusal names is the longest check_traces accepts."""
+    with pytest.raises(ValueError) as info:
+        engine.check_traces(10 ** 7, reps, 1)
+    assert (f"for {reps} replication(s) the largest horizon that fits is "
+            f"{longest}") in str(info.value)
+    engine.check_traces(longest, reps, 1)
+    with pytest.raises(ValueError, match=f"largest horizon that fits is "
+                                         f"{longest}$"):
+        engine.check_traces(longest + 1, reps, 1)
 
 
 def test_trace_consistency(bm, bm_game, counter_sigma, uniform_tau, live):
@@ -321,12 +335,13 @@ def test_uniform_exceed_rate_reads_the_histogram(bm, config, uniform_tau):
 
 def test_monte_carlo_setup_is_not_proportional_to_horizon(
         bm, counter_sigma, uniform_tau, monkeypatch):
-    """Nothing of the horizon's length is allocated outside the chunks."""
-    def stub(ngame, sigma, tau, horizon, base_seed, rep_start, rep_count,
-             checkpoints, collect_traces):
-        return [(0.0, 0.0, np.array([rep_count])) for _ in checkpoints], []
+    """Nothing of the horizon's length is allocated outside the play."""
+    def stub(ngame, sigma, tau, horizon, base_seed, rep_start, rep_count):
+        zero = np.zeros(rep_count, dtype=np.int64)
+        for t in default_checkpoints(horizon):
+            yield t, zero, zero, zero, zero, np.zeros(rep_count)
 
-    monkeypatch.setattr(engine, "_simulate_chunk", stub)
+    monkeypatch.setattr(engine, "_play", stub)
     tracemalloc.start()
     try:
         stats = monte_carlo(bm, counter_sigma, uniform_tau, 10_000_000, 8, 1)
