@@ -24,8 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from .counter import SHIFTS, level_table
-from .games import (PROB_TOL, GameSpec, NormalizedGame, load_json_object,
-                    probability_rows, sample_rows, stage_row, take_rows)
+from .games import (PROB_TOL, GameSpec, NormalizedGame, cut_points,
+                    load_json_object, probability_rows, sample_rows,
+                    stage_row, take_rows)
 
 MAX_TABLE_BYTES = 1 << 28  # largest kernel, policy, trace or mixture build
 TAIL_TOL = 1e-3  # bound on the absorb-at-zero mass after each switch stage
@@ -255,10 +256,10 @@ class StationaryAdversary(Adversary):
     """Plays a fixed mixture per game state, ignoring clock and memory."""
 
     def __init__(self, dist):
-        self.cum = np.cumsum(probability_rows("mixture", dist), axis=-1)
+        self.cuts = cut_points(probability_rows("mixture", dist))
 
     def act(self, t, z, m, comp, u):
-        return sample_rows(take_rows(self.cum, z), u)
+        return sample_rows(take_rows(self.cuts, z), u)
 
 
 def stationary_adversary(dist) -> StationaryAdversary:
@@ -279,10 +280,10 @@ class MarkovAdversary(Adversary):
         table = np.asarray(dist_table, dtype=np.float64)
         if table.ndim != 3:
             raise ValueError("expected a (stages, states, actions) table")
-        self.cum = np.cumsum(probability_rows("mixture", table), axis=-1)
+        self.cuts = cut_points(probability_rows("mixture", table))
 
     def act(self, t, z, m, comp, u):
-        return sample_rows(take_rows(stage_row(self.cum, t), z), u)
+        return sample_rows(take_rows(stage_row(self.cuts, t), z), u)
 
 
 class BestResponseAdversary(Adversary):

@@ -14,7 +14,8 @@ Because stream position is a pure function of the stage index, results are
 byte-identical for any replication chunking or stage blocking.  One play
 loop, _play, yields every stage to two readers: monte_carlo folds chunks of
 replications, played in order on the calling thread, into checkpoint
-statistics in chunk order; run_traces keeps whole traces.
+statistics in chunk order; run_traces keeps whole traces.  Every draw reads
+games.cut_points tables; update_memory gets the flat (z, i, j) index.
 
 A play draws BLOCK_FLOATS uniforms (16 MB) at a time into a stage-major
 block, so that a draw reads its R uniforms contiguously, not a row apart;
@@ -32,8 +33,9 @@ import numpy as np
 from .adversary import MAX_TABLE_BYTES
 from .counter import CounterConfig, level_table
 from .discounted import SolutionCache
-from .games import (NormalizedGame, is_absorbing, probability_rows,
-                    sample_rows, stage_row, take_rows, transition_cdf)
+from .games import (NormalizedGame, cut_points, is_absorbing,
+                    probability_rows, sample_rows, stage_row, take_rows,
+                    transition_cuts)
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99, 1.0)
 CHUNK = 8192  # replications per chunk: bounds its generators' memory (about
@@ -58,24 +60,24 @@ class StationaryStrategy:
     counter_config: CounterConfig | None = None
 
     def __init__(self, dist):
-        self.cum = np.cumsum(probability_rows("strategy", dist), axis=-1)
+        self.cuts = cut_points(probability_rows("strategy", dist))
 
     def prepare(self, horizon: int) -> None:
         pass
 
     def act(self, t, z, k, u):
-        return sample_rows(take_rows(self.cum, z), u)
+        return sample_rows(take_rows(self.cuts, z), u)
 
-    def update_memory(self, t, z, k, i, j, z_next, u):
+    def update_memory(self, t, zij, k, i, j, z_next, u):
         return k
 
 
 class CounterStrategy:
     """The geometric-counter strategy driven by a shared solution cache.
 
-    Holds the cumulative rows of counter.level_table, the action mixtures
-    and the level shifts, for levels 0 up to the deepest that play has
-    reached; the table grows when play goes deeper.
+    Holds the cut points of counter.level_table's rows, the action mixtures
+    and the level shifts (by flat (z, i, j) index), for levels 0 up to the
+    deepest that play has reached; the tables grow when play goes deeper.
     """
 
     def __init__(self, ngame: NormalizedGame, config: CounterConfig,
@@ -83,26 +85,24 @@ class CounterStrategy:
         game = ngame.game
         self.counter_config = config
         self.cache = cache
-        self._cum_act = np.zeros((0, game.n_states, game.n_actions1))
-        self._cum_shift = np.zeros((0, game.n_states, game.n_actions1,
-                                    game.n_actions2, game.n_states, 3))
+        self._cut_act = np.zeros((0, game.n_states, game.n_actions1 - 1))
+        self._cut_shift = np.zeros((0, game.payoff.size, game.n_states, 2))
 
     def prepare(self, horizon: int) -> None:
         pass
 
     def act(self, t, z, k, u):
-        top, have = int(k.max()) + 1, len(self._cum_act)
+        top, have = int(k.max()) + 1, len(self._cut_act)
         if top > have:
             mix, shift = level_table(self.counter_config, self.cache,
                                      range(have, top))
-            self._cum_act = np.concatenate(
-                [self._cum_act, np.cumsum(mix, axis=-1)])
-            self._cum_shift = np.concatenate(
-                [self._cum_shift, np.cumsum(shift, axis=-1)])
-        return sample_rows(take_rows(self._cum_act, k, z), u)
+            self._cut_act = np.concatenate([self._cut_act, cut_points(mix)])
+            self._cut_shift = np.concatenate([self._cut_shift, cut_points(
+                shift).reshape(top - have, *self._cut_shift.shape[1:])])
+        return sample_rows(take_rows(self._cut_act, k, z), u)
 
-    def update_memory(self, t, z, k, i, j, z_next, u):
-        rows = take_rows(self._cum_shift, k, z, i, j, z_next)
+    def update_memory(self, t, zij, k, i, j, z_next, u):
+        rows = take_rows(self._cut_shift, k, zij, z_next)
         return k + 1 - sample_rows(rows, u)  # index a: shift SHIFTS[a] = 1 - a
 
 
@@ -113,17 +113,17 @@ class TableStrategy:
 
     def __init__(self, table):
         self.table = table
-        self._cum_act = np.cumsum(table.action, axis=-1)
-        self._cum_ker = np.cumsum(table.memory_kernel, axis=-1)
+        self._cut_act = cut_points(table.action)
+        self._cut_ker = cut_points(table.memory_kernel)
 
     def prepare(self, horizon: int) -> None:
         self.table.check_horizon(horizon)
 
     def act(self, t, z, k, u):
-        return sample_rows(take_rows(stage_row(self._cum_act, t), k), u)
+        return sample_rows(take_rows(stage_row(self._cut_act, t), k), u)
 
-    def update_memory(self, t, z, k, i, j, z_next, u):
-        rows = take_rows(stage_row(self._cum_ker, t), k, i, j, z_next)
+    def update_memory(self, t, zij, k, i, j, z_next, u):
+        rows = take_rows(stage_row(self._cut_ker, t), k, i, j, z_next)
         return sample_rows(rows, u)
 
 
@@ -214,8 +214,8 @@ def _play(ngame: NormalizedGame, sigma, tau, horizon: int, base_seed: int,
     (t, z, k, i, j, x), arrays of shape (rep_count,).  Readers must not write
     into a yielded array, and none is written after it is yielded."""
     game = ngame.game
-    nz, ni, nj = game.n_states, game.n_actions1, game.n_actions2
-    tcdf = transition_cdf(game).reshape(-1, nz)  # one row per (z, i, j)
+    ni, nj = game.n_actions1, game.n_actions2
+    cuts = transition_cuts(game)
     sigma.prepare(horizon)
     tau.prepare(horizon)
 
@@ -241,10 +241,10 @@ def _play(ngame: NormalizedGame, sigma, tau, horizon: int, base_seed: int,
             i = sigma.act(t, z, k, u[0])
             j = tau.act(t, z, k, comp, u[1])
             zij = (z * ni + i) * nj + j
-            z_next = sample_rows(tcdf.take(zij, axis=0), u[2])
+            z_next = sample_rows(cuts.take(zij, axis=0), u[2])
             x = game.payoff.take(zij)
             yield t, z, k, i, j, x
-            k = sigma.update_memory(t, z, k, i, j, z_next, u[3])
+            k = sigma.update_memory(t, zij, k, i, j, z_next, u[3])
             z = z_next
 
 

@@ -11,6 +11,7 @@ to the original payoff units.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,9 +205,9 @@ def big_match() -> GameSpec:
     return GameSpec(states, actions1, actions2, payoff, transition, 0)
 
 
-def transition_cdf(game: GameSpec) -> np.ndarray:
-    """Cumulative transition rows, in the layout sample_rows reads."""
-    return np.cumsum(game.transition, axis=3)
+def transition_cuts(game: GameSpec) -> np.ndarray:
+    """Cut points of the transition rows, one row per flat (z, i, j)."""
+    return cut_points(game.transition).reshape(game.payoff.size, -1)
 
 
 def probability_rows(name: str, rows) -> np.ndarray:
@@ -227,20 +228,28 @@ def stage_row(table, t: int):
 
 def take_rows(table: np.ndarray, *index) -> np.ndarray:
     """table[index], one index array per leading axis, by one take at the
-    flat index (fast on short rows); it checks only the flat range."""
+    flat index (fast on short rows, even empty); it checks only the range."""
     flat = index[0]
     for n, i in zip(table.shape[1:], index[1:]):
         flat = flat * n + i
-    return table.reshape(-1, table.shape[-1]).take(flat, axis=0)
+    return table.reshape(math.prod(table.shape[:-1]), -1).take(flat, axis=0)
 
 
-def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw, the one sampling rule everywhere: per row, the
-    smallest index a with u < cum_rows[..., a], clamped to the last index so
-    that round-off in a row's total never yields an index past the end.
-    Counted one column at a time: a reduction over that short axis is slow."""
-    idx = sum(u >= cum_rows[..., a] for a in range(cum_rows.shape[-1]))
-    return np.minimum(idx, cum_rows.shape[-1] - 1)
+def cut_points(rows) -> np.ndarray:
+    """The A - 1 smallest cumulative sums of each row of A probabilities,
+    sorted, contiguous (take copies a strided table): the clamped inverse-CDF
+    index reaches m at the m-th smallest, so sample_rows needs no clamp."""
+    return np.sort(np.cumsum(rows, axis=-1), axis=-1)[..., :-1].copy()
+
+
+def sample_rows(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw, the one sampling rule everywhere: per draw u, the
+    count of its row's cut points at or below u (0 on one-entry rows)."""
+    idx = ((u >= cuts[..., 0]).astype(np.int64) if cuts.shape[-1]
+           else np.zeros(np.shape(u), dtype=np.int64))
+    for a in range(1, cuts.shape[-1]):  # by column: a short-axis sum is slow
+        idx += u >= cuts[..., a]
+    return idx
 
 
 def load_json_object(path: str) -> dict:

@@ -176,11 +176,12 @@ def test_jump_probability_bound(config):
 
 def test_sample_update_threshold_map(config):
     """A uniform u moves up when u < p_up and down when u >= p_up + p_stay:
-    sample_rows over the cumulative (up, stay, down) row."""
+    sample_rows over the cut points (p_up, p_up + p_stay) of the
+    (up, stay, down) row."""
     def step(level, x, v, u):
         p_up, p_stay, _ = update_distribution(config, level, x, v)
-        cum = np.array([p_up, p_up + p_stay, 1.0])
-        move = int(sample_rows(cum, np.float64(u)))
+        cuts = np.array([p_up, p_up + p_stay])
+        move = int(sample_rows(cuts, np.float64(u)))
         return level + (1, 0, -1)[move]
 
     p_up, _, _ = update_distribution(config, 3, 1.0, 0.2)

@@ -51,13 +51,13 @@ def test_counter_thresholds_follow_move_law(bm, config, cache):
     sigma = CounterStrategy(bm, config, cache)
     sigma.act(1, np.zeros(1, dtype=np.int64), np.array([11]), np.zeros(1))
     pay = bm.game.payoff
-    rows = sigma._cum_shift  # cumulative shifts (+1, 0, -1)
-    assert len(rows) == 12   # levels 0..11: up to the deepest played
-    for k, z, i, j, zn in np.ndindex(rows.shape[:5]):
-        up, stay, down = move_law(config, k, float(pay[z, i, j]),
-                                  float(cache.at(k).values[zn]))
-        assert tuple(rows[k, z, i, j, zn]) == (up, up + stay,
-                                               up + stay + down)
+    cuts = sigma._cut_shift  # cut points of the shifts (+1, 0, -1)
+    assert cuts.shape == (12, 3 * 2 * 2, 3, 2)  # levels 0..11: the deepest
+    for k, z, i, j, zn in np.ndindex(12, 3, 2, 2, 3):
+        up, stay, _ = move_law(config, k, float(pay[z, i, j]),
+                               float(cache.at(k).values[zn]))
+        zij = (z * 2 + i) * 2 + j
+        assert tuple(cuts[k, zij, zn]) == (up, up + stay)
 
 
 def test_counter_solves_only_the_levels_play_reaches(bm, config,
@@ -155,6 +155,26 @@ def test_absorption_stage_semantics(bm, live):
     tr2, = run_traces(bm, sigma_c, tau, 10, 1, 3)
     assert tr2.absorption_stage is None
     assert np.all(tr2.stage_state == live)
+
+
+def test_one_column_game_plays_as_its_column(bm, bm_game):
+    """Player 2's rows in a game where it has one action have no cut
+    points and draw 0: the play is the Big Match's against column 0."""
+    g = bm_game
+    one = normalize_payoffs(GameSpec(g.states, g.actions1, g.actions2[:1],
+                                     g.payoff[:, :, :1],
+                                     g.transition[:, :, :1], 0))
+    sigma = StationaryStrategy(np.full((3, 2), 0.5))
+    got = run_traces(one, sigma, stationary_adversary(np.ones((3, 1))),
+                     200, 8, 4)
+    want = run_traces(bm, sigma, pure_column_adversary(3, 2, 0), 200, 8, 4)
+    for a, b in zip(got, want):
+        assert a.absorption_stage == b.absorption_stage
+        for field in ("stage_state", "stage_memory", "stage_action1",
+                      "stage_action2", "stage_payoff"):
+            np.testing.assert_array_equal(getattr(a, field),
+                                          getattr(b, field))
+    assert any(tr.absorption_stage for tr in got)
 
 
 def test_monte_carlo_matches_single_episode(bm, counter_sigma, uniform_tau):
@@ -319,7 +339,7 @@ def test_uniform_exceed_rate_reads_the_histogram(bm, config, uniform_tau):
     infinite min_horizon that make_config gives at base 1e300."""
 
     class Climber(StationaryStrategy):
-        def update_memory(self, t, z, k, i, j, z_next, u):
+        def update_memory(self, t, zij, k, i, j, z_next, u):
             return k + 1
 
     sigma = Climber(np.full((3, 2), 0.5))

@@ -5,8 +5,8 @@ import pytest
 
 from stochgame import GameSpec, GameValidationError, big_match, load_game, \
     normalize_payoffs, save_game, validate_game
-from stochgame.games import (PROB_TOL, is_absorbing, sample_rows, take_rows,
-                             transition_cdf)
+from stochgame.games import (PROB_TOL, cut_points, is_absorbing, sample_rows,
+                             take_rows, transition_cuts)
 
 from conftest import make_rng
 
@@ -186,20 +186,23 @@ def test_load_rejects_boolean_initial_state(tmp_path, bm_game):
 
 
 def test_sample_index_rule():
-    cdf = np.array([0.2, 0.5, 1.0])
+    cuts = cut_points([0.2, 0.3, 0.5])
+    assert cuts.tolist() == [0.2, 0.5]
     u = np.array([0.0, 0.19999, 0.2, 0.49, 0.5, 0.999999])
     # u = 0.2 sits on a boundary and goes to the next cell
-    assert sample_rows(cdf, u).tolist() == [0, 0, 1, 1, 2, 2]
+    assert sample_rows(cuts, u).tolist() == [0, 0, 1, 1, 2, 2]
     # one row per draw, and a row total short of 1 never overflows
-    rows = np.array([[0.2, 0.5, 1.0], [0.5, 1.0, 1.0], [0.3, 0.6, 0.9]])
+    rows = cut_points([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.3, 0.3, 0.3]])
     assert sample_rows(rows, np.array([0.5, 0.5, 0.95])).tolist() == [2, 1, 2]
 
 
-@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 def test_sample_rows_counts_as_the_reduction_did(width):
-    """The per-column count equals the old bool reduction over the row,
-    bit for bit: on rows with -PROB_TOL entries, whose cumulative rows are
-    not monotone, and on draws that equal a cumulative entry exactly."""
+    """The count of cut points at or below u equals the old bool reduction
+    over the full cumulative row, clamped to the last index, bit for bit:
+    on rows with -PROB_TOL entries, whose cumulative rows are not monotone,
+    on draws that equal a cumulative entry exactly, on u = 0 and u = 1,
+    and on rows of one entry, which have no cut points and draw 0."""
     rng = make_rng(60 + width)
     rows = rng.dirichlet(np.ones(width), size=(64, 32))
     dip = rng.random(rows.shape) < 0.2
@@ -209,18 +212,22 @@ def test_sample_rows_counts_as_the_reduction_did(width):
     ties = rng.random(u.shape) < 0.5
     pick = rng.integers(0, width, size=u.shape)
     u[ties] = np.take_along_axis(cum, pick[..., None], axis=-1)[ties, 0]
+    u[:, :2] = 0.0, 1.0
     want = np.minimum((u[..., None] >= cum).sum(axis=-1), width - 1)
-    got = sample_rows(cum, u)
+    cuts = cut_points(rows)
+    assert cuts.shape == (64, 32, width - 1)
+    got = sample_rows(cuts, u)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
-    assert sample_rows(cum[0, 0], u[0, 0]) == want[0, 0]  # one scalar draw
+    assert sample_rows(cuts[0, 0], u[0, 0]) == want[0, 0]  # one scalar draw
 
 
-@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("width", [0, 2, 3, 4])
 def test_take_rows_is_the_fancy_index(width):
     """One take at the flat index gathers the rows that fancy indexing by
-    every leading axis does, on tables of 1 to 4 leading axes; an index
-    past the flat range is refused."""
+    every leading axis does, on tables of 1 to 4 leading axes, also of
+    empty rows (the cut points of one-entry rows); an index past the flat
+    range is refused."""
     rng = make_rng(80 + width)
     for ndim in range(1, 5):
         shape = tuple(int(n) for n in rng.integers(2, 5, size=ndim))
@@ -232,10 +239,12 @@ def test_take_rows_is_the_fancy_index(width):
                       np.full(50, shape[-1]))
 
 
-def test_transition_cdf_rows_end_at_one(bm_game):
-    cdf = transition_cdf(bm_game)
-    np.testing.assert_allclose(cdf[..., -1], 1.0, rtol=0, atol=1e-12)
-    assert np.all(np.diff(cdf, axis=3) >= -1e-15)
+def test_transition_cuts_are_the_sorted_cumulative_rows(bm_game):
+    """One row per flat (z, i, j) index, holding the row's cumulative sums
+    sorted, without the last."""
+    cum = np.sort(np.cumsum(bm_game.transition, axis=3), axis=3)
+    np.testing.assert_array_equal(transition_cuts(bm_game),
+                                  cum[..., :-1].reshape(-1, 2))
 
 
 def test_alternator_is_valid():
