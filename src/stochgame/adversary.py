@@ -107,8 +107,7 @@ def save_strategy_table(table: PublicMemoryStrategyTable, path: str) -> None:
                           else table.memory_kernel).tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")  # one C-encoder call, json.dump's bytes
 
 
 def load_strategy_table(path: str) -> PublicMemoryStrategyTable:
@@ -589,15 +588,20 @@ class MixedClockedAdversary(Adversary):
         """Component c's one-set as (t, m) rows in row-major order."""
         return np.argwhere(self.first <= c) + (1, 0)
 
+    def distinct_sets(self):
+        """Each distinct one-set once, as (c, stop, cells(c)): components c
+        up to stop - 1 share it.  A set changes only at a component that is
+        some cell's first."""
+        starts = np.union1d([0, self.n_components], self.first).tolist()
+        for c, stop in zip(starts, starts[1:]):
+            yield c, stop, self.cells(c)
+
     @cached_property
     def components(self) -> tuple[PureClockedAdversary, ...]:
         """Each component's one-set as (t, m) cells; components with equal
         sets share one object."""
-        grows = set(np.unique(self.first).tolist())  # where a set gains cells
         comps: list[PureClockedAdversary] = []
-        for c in range(self.n_components):
-            if c in grows or not comps:
-                cells = map(tuple, self.cells(c).tolist())
-                comp = PureClockedAdversary(frozenset(cells))
-            comps.append(comp)
+        for c, stop, cells in self.distinct_sets():
+            comp = PureClockedAdversary(frozenset(map(tuple, cells.tolist())))
+            comps += [comp] * (stop - c)
         return tuple(comps)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -214,12 +215,14 @@ def cmd_impossibility(args) -> int:
 
     adv_path = _out_path(args, "adversary.json")
     with open(adv_path, "w", encoding="utf-8") as fh:
-        # json.dump's layout, one component's cell list at a time
+        # json.dump's layout; each distinct set is encoded only once
         fh.write(f'{{"delta": {delta!r}, "horizon": {horizon}, '
                  f'"M": {cert.memory_states}, "components": [')
-        for c in range(result.mixture.n_components):
-            fh.write(", " if c else "")
-            json.dump(result.mixture.cells(c).tolist(), fh)
+        for c, stop, cells in result.mixture.distinct_sets():
+            text = io.StringIO()
+            json.dump(cells.tolist(), text)
+            for n in range(c, stop):
+                fh.write((", " if n else "") + text.getvalue())
         fh.write("]}\n")
     report_path = _out_path(args, "impossibility_report.txt")
     lines = cert.lines() + [

@@ -123,6 +123,8 @@ class TableStrategy:
         return sample_rows(take_rows(stage_row(self._cut_act, t), k), u)
 
     def update_memory(self, t, zij, k, i, j, z_next, u):
+        if not self._cut_ker.shape[-1]:  # one memory state: k is all zeros
+            return k
         rows = take_rows(stage_row(self._cut_ker, t), k, i, j, z_next)
         return sample_rows(rows, u)
 

@@ -6,6 +6,7 @@ clocked policies.
 """
 
 import dataclasses
+import io
 import itertools
 import json
 import tracemalloc
@@ -138,6 +139,24 @@ def test_table_round_trip(tmp_path):
     back2 = load_strategy_table(spath)
     assert back2.horizon is None and back2.stationary
     np.testing.assert_array_equal(back2.action, stat.action)
+
+
+def test_saved_table_bytes_equal_json_dump(tmp_path):
+    """save_strategy_table writes json.dump's bytes and a newline, for a
+    per-stage and a stationary table."""
+    action, kernel = random_rational_table(make_rng(31), horizon=4, m_states=3)
+    for tab in (to_float_table(action, kernel, 3), stationary_table(0.25)):
+        doc = {"M": tab.memory_states, "horizon": tab.horizon,
+               "action": tab.action.tolist(),
+               "memory_kernel": tab.memory_kernel.tolist()}
+        if tab.stationary:  # stationary tables are saved without stage axis
+            doc["action"] = doc["action"][0]
+            doc["memory_kernel"] = doc["memory_kernel"][0]
+        expected = io.StringIO()
+        json.dump(doc, expected)
+        path = tmp_path / "table.json"
+        save_strategy_table(tab, str(path))
+        assert path.read_text(encoding="utf-8") == expected.getvalue() + "\n"
 
 
 def test_table_load_rejects_bad_rows(tmp_path):

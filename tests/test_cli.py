@@ -532,10 +532,26 @@ def test_adversary_json_bytes(tmp_path, monkeypatch, args):
     assert (result.mixture.first < result.mixture.n_components).any()
 
 
+def test_impossibility_encodes_each_distinct_set_once(tmp_path, monkeypatch):
+    """always-c at delta 0.05 and T 2000 has 41 components but 2 distinct
+    one-sets: writing adversary.json lists the cells of each set once."""
+    monkeypatch.setattr(stochgame.engine, "monte_carlo", stub_monte_carlo)
+    cells = stochgame.adversary.MixedClockedAdversary.cells
+    calls = []
+    monkeypatch.setattr(stochgame.adversary.MixedClockedAdversary, "cells",
+                        lambda self, c: calls.append(c) or cells(self, c))
+    assert run_cli(["impossibility", "--sigma", "always-c", "--delta", "0.05",
+                    "--horizon", "2000"], tmp_path) == 0
+    doc = json.loads((tmp_path / "adversary.json").read_text())
+    assert len(doc["components"]) == 41
+    assert len(calls) == 2, calls
+
+
 def test_impossibility_holds_one_component_at_a_time(tmp_path, monkeypatch):
-    """Writing adversary.json for always-c at T 5000 holds one component's
-    cell list, not every component's set of cells: the traced peak of the
-    whole command, with the simulation stubbed, stays under 3 MB."""
+    """Writing adversary.json for always-c at T 5000 holds one distinct
+    set's cell list and its encoded text, not every component's set of
+    cells: the traced peak of the whole command, with the simulation
+    stubbed, stays under 3 MB."""
     monkeypatch.setattr(stochgame.engine, "monte_carlo", stub_monte_carlo)
     tracemalloc.start()
     try:

@@ -388,6 +388,23 @@ def test_table_strategy_equals_stationary(bm, uniform_tau):
     np.testing.assert_array_equal(a.stage_payoff, b.stage_payoff)
 
 
+def test_one_state_table_reads_no_kernel(bm, uniform_tau, monkeypatch):
+    """With one memory state the kernel has no cut points: update_memory
+    returns the all-zero level without a kernel gather, so over 40 stages
+    the engine takes rows only for the 40 action draws."""
+    table = PublicMemoryStrategyTable(
+        memory_states=1, horizon=None,
+        action=np.array([[[0.1, 0.9]]]),
+        memory_kernel=np.ones((1, 1, 2, 2, 3, 1)))
+    take_rows = engine.take_rows
+    tables = []
+    monkeypatch.setattr(engine, "take_rows", lambda table, *index: (
+        tables.append(table.shape) or take_rows(table, *index)))
+    trace, = run_traces(bm, TableStrategy(table), uniform_tau, 40, 1, 11)
+    assert not trace.stage_memory.any()
+    assert tables == [(1, 1)] * 40  # the action cut points of memory 0
+
+
 def test_markov_constant_table_equals_stationary(bm, counter_sigma):
     dist = np.full((3, 2), 0.5)
     tau_s = stationary_adversary(dist)
