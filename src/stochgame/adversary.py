@@ -24,11 +24,10 @@ from functools import cached_property
 import numpy as np
 
 from .counter import SHIFTS, level_table
-from .games import (PROB_TOL, GameSpec, NormalizedGame, cut_points,
-                    load_json_object, probability_rows, sample_rows,
-                    stage_row, take_rows)
+from .games import (PROB_TOL, GameSpec, NormalizedGame, check_bytes,
+                    cut_points, load_json_object, probability_rows,
+                    sample_rows, stage_row, take_rows)
 
-MAX_TABLE_BYTES = 1 << 28  # largest kernel, policy, trace or mixture build
 TAIL_TOL = 1e-3  # bound on the absorb-at-zero mass after each switch stage
 
 
@@ -156,12 +155,8 @@ def from_counter_strategy(ngame: NormalizedGame, config, cache, cap: int,
         raise ValueError(f"counter cap {cap} must lie in [0, {config.last_level}]"
                          f", the levels whose discount rate is normal")
     game = ngame.game
-    per_cell = game.payoff.nbytes  # one float64 per (z, i, j) and (m, m')
-    if (cap + 1) ** 2 * per_cell > MAX_TABLE_BYTES:
-        fits = math.isqrt(MAX_TABLE_BYTES // per_cell) - 1
-        raise ValueError(f"counter cap {cap} needs a {(cap + 1) ** 2 * per_cell:.3g}"
-                         f"-byte memory kernel, over the {MAX_TABLE_BYTES}-byte "
-                         f"limit; the largest cap that fits is {fits}")
+    check_bytes("cap", cap,  # kernel: a float64 per (m, z, i, j, m')
+                lambda c: (c + 1) ** 2 * game.payoff.nbytes)
     live = game.initial_state
     mix, shift = level_table(config, cache, range(cap + 1))
     m = np.arange(cap + 1)
@@ -204,10 +199,8 @@ def best_response_public(ngame: NormalizedGame,
     sigma.check_game(game)
     nz, nj = game.n_states, game.n_actions2
     m_states = sigma.memory_states
-    if horizon * nz * m_states > MAX_TABLE_BYTES:  # one int8 per (t, z, m)
-        raise ValueError(f"a {horizon}-stage best response needs a "
-                         f"{horizon * nz * m_states:.3g}-byte policy, over "
-                         f"the {MAX_TABLE_BYTES}-byte limit")
+    check_bytes("best-response horizon", horizon,  # int8 per (t, z, m)
+                lambda t: t * nz * m_states)
     policy = np.zeros((horizon, nz, m_states), dtype=np.int8)
     values = np.zeros((nz, m_states))
     law = np.empty((m_states * nj, nz * m_states))  # (m, j) -> (z', m') from one z
@@ -473,12 +466,8 @@ def build_worthlessness_adversary(ngame: NormalizedGame,
     idx = big_match_indices(ngame)
     sigma.check_game(ngame.game)
     m_states = sigma.memory_states
-    need = 8 * horizon * (5 * m_states + 16)  # the (T, M) and (T,) arrays
-    if need > MAX_TABLE_BYTES:
-        raise ValueError(f"horizon {horizon} needs {need:.3g} bytes of working "
-                         f"arrays, over the {MAX_TABLE_BYTES}-byte limit; the "
-                         f"largest horizon that fits is "
-                         f"{MAX_TABLE_BYTES // (8 * (5 * m_states + 16))}")
+    check_bytes("horizon", horizon,  # (T, M) and (T,) arrays
+                lambda t: 8 * t * (5 * m_states + 16))
     n_components = (1 if delta >= 1.0
                     else int(np.floor((m_states + 1) / delta)) + 1)
 

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import MAX_TABLE_BYTES
 from .counter import CounterConfig, level_table
 from .discounted import SolutionCache
-from .games import (NormalizedGame, cut_points, is_absorbing,
+from .games import (NormalizedGame, check_bytes, cut_points, is_absorbing,
                     probability_rows, sample_rows, stage_row, take_rows,
                     transition_cuts)
 
@@ -269,21 +268,16 @@ def check_run(horizon: int, replications: int, base_seed: int,
 
 
 def check_traces(horizon: int, replications: int, base_seed: int) -> None:
-    """check_run, and reject traces needing over MAX_TABLE_BYTES: 41 bytes
-    per replication-stage (traces, absorbed mask), per replication its
-    block and group rows and 2 KB (generator, EpisodeTrace), 64 KB fixed."""
+    """check_run, and games.check_bytes on the traces' 41 bytes per
+    replication-stage (traces, absorbed mask), per replication its block
+    and group rows and 2 KB (generator, EpisodeTrace), and 64 KB fixed:
+    first on the replication count at horizon 1, then on the horizon."""
     check_run(horizon, replications, base_seed)
-    r, fixed = replications, (1 << 16) + 2048 * replications
-    need = fixed + r * (41 * horizon + 64 * _block_stages(horizon, r))
-    if need > MAX_TABLE_BYTES:
-        block = max(16, BLOCK_FLOATS // (4 * r))  # the block of a long run
-        longest = (MAX_TABLE_BYTES - fixed - 64 * r * block) // (41 * r)
-        if longest < block:  # then the run is one block: 105 bytes a stage
-            longest = (MAX_TABLE_BYTES - fixed) // (105 * r)
-        raise ValueError(f"the traces need {need:.3g} bytes, {need // r} per "
-                         f"replication, over the {MAX_TABLE_BYTES}-byte limit; "
-                         f"for {r} replication(s) the largest horizon that fits "
-                         f"is {max(longest, 0)}")
+
+    def need(h, r=replications):
+        return (1 << 16) + r * (2048 + 41 * h + 64 * _block_stages(h, r))
+    check_bytes("replication count", replications, lambda r: need(1, r))
+    check_bytes("horizon", horizon, need)
 
 
 def monte_carlo(ngame: NormalizedGame, sigma, tau, horizon: int,

@@ -18,6 +18,7 @@ import numpy as np
 
 PROB_TOL = 1e-9
 ABSORB_TOL = 1e-12
+MAX_TABLE_BYTES = 1 << 28  # largest kernel, policy, trace or mixture build
 
 
 class GameValidationError(ValueError):
@@ -148,10 +149,6 @@ class NormalizedGame:
     def denormalize(self, values):
         return (np.asarray(values, dtype=np.float64) - self.offset) / self.scale
 
-    @property
-    def is_identity(self) -> bool:
-        return self.scale == 1.0 and self.offset == 0.0
-
 
 def normalize_payoffs(game: GameSpec) -> NormalizedGame:
     """Map payoffs into [0, 1] and record the affine map used."""
@@ -250,6 +247,24 @@ def sample_rows(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
     for a in range(1, cuts.shape[-1]):  # by column: a short-axis sum is slow
         idx += u >= cuts[..., a]
     return idx
+
+
+def check_bytes(what: str, size: int, need) -> None:
+    """Refuse a build of the given size when need(size), the bytes it holds,
+    passes MAX_TABLE_BYTES.  need must not fall as size grows; the refusal
+    names the largest size that fits, found by bisection (0 if none)."""
+    if need(size) <= MAX_TABLE_BYTES:
+        return
+    fits, over = 0, size
+    while over - fits > 1:
+        mid = (fits + over) // 2
+        if need(mid) <= MAX_TABLE_BYTES:
+            fits = mid
+        else:
+            over = mid
+    raise ValueError(f"{what} {size} needs {need(size):.3g} bytes, over the "
+                     f"{MAX_TABLE_BYTES}-byte limit; the largest {what} that "
+                     f"fits is {fits}")
 
 
 def load_json_object(path: str) -> dict:

@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 
 from stochgame import counter, solve_matrix_game
-from stochgame.adversary import (MAX_TABLE_BYTES, TAIL_TOL, BestResponse,
+from stochgame.adversary import (TAIL_TOL, BestResponse,
                                  MixedClockedAdversary,
                                  WorthlessnessCertificate, WorthlessnessError,
                                  WorthlessnessResult, big_match_indices)
-from stochgame.games import stage_row
+from stochgame.games import MAX_TABLE_BYTES, stage_row
 
 
 def best_response_exact(payoff, transition, action, kernel, horizon: int,

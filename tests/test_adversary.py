@@ -6,16 +6,18 @@ clocked policies.
 """
 
 import dataclasses
+import functools
 import io
 import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stochgame import adversary
+from stochgame import adversary, games
 from stochgame import (GameSpec, SolutionCache, WorthlessnessError,
                        big_match, build_worthlessness_adversary,
                        load_strategy_table, normalize_payoffs,
@@ -26,6 +28,7 @@ from stochgame.adversary import (BestResponseAdversary, MarkovAdversary,
                                  best_response_public, big_match_indices,
                                  from_counter_strategy, pure_column_adversary,
                                  stationary_adversary)
+from stochgame.engine import StationaryStrategy, run_traces
 from stochgame.games import stage_row
 
 from conftest import make_rng
@@ -369,7 +372,8 @@ def test_best_response_rejects_mismatched_table(bm):
 
 def test_best_response_rejects_oversized_policy(bm):
     # 2^27 stages x 3 states x 1 memory state of int8 exceed 2^28 bytes
-    with pytest.raises(ValueError, match="4.03e\\+08-byte policy"):
+    with pytest.raises(ValueError, match="best-response horizon 134217728 "
+                                         "needs 4.03e\\+08 bytes"):
         best_response_public(bm, stationary_table(0.5), 1 << 27)
 
 
@@ -382,6 +386,37 @@ def test_from_counter_strategy_rejects_bad_cap(bm, config, cache):
     with pytest.raises(ValueError, match="largest cap that fits is 1671"):
         from_counter_strategy(bm, config, fresh, 1671 + 1, 10)
     assert len(fresh) == 0  # rejected before any level was solved
+
+
+@pytest.mark.parametrize("name, limit", [
+    ("cap", 1 << 16), ("best-response", 1 << 12), ("always-c", 1 << 20),
+    ("cap-40", 1 << 22), ("trace-r1", 1 << 20), ("trace-r1000", 1 << 22)])
+def test_every_refusal_names_a_size_that_fits(bm, config, cache, monkeypatch,
+                                              name, limit):
+    """Under a small byte limit, the size a refusal names builds, and one
+    more is refused naming the same size."""
+    half = StationaryStrategy(np.full((3, 2), 0.5))
+    uniform = stationary_adversary(np.full((3, 2), 0.5))
+    build = {  # each a build of the given size; tables made at the full limit
+        "cap": lambda cap: from_counter_strategy(bm, config, cache, cap, 10),
+        "best-response": lambda t: best_response_public(
+            bm, stationary_table(0.5), t),
+        "always-c": lambda t: build_worthlessness_adversary(
+            bm, stationary_table(0.0), 0.1, t),
+        "cap-40": functools.partial(
+            build_worthlessness_adversary, bm,
+            from_counter_strategy(bm, config, cache, 40, None), 0.1),
+        "trace-r1": lambda h: run_traces(bm, half, uniform, h, 1, 1),
+        "trace-r1000": lambda h: run_traces(bm, half, uniform, h, 1000, 1),
+    }[name]
+    monkeypatch.setattr(games, "MAX_TABLE_BYTES", limit)
+    with pytest.raises(ValueError) as info:
+        build(10 ** 4)
+    fits = int(re.search(r"the largest .* that fits is (\d+)$",
+                         str(info.value)).group(1))
+    build(fits)
+    with pytest.raises(ValueError, match=f"that fits is {fits}$"):
+        build(fits + 1)
 
 
 def test_from_counter_strategy_layout(bm, config, cache, live):

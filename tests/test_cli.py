@@ -275,7 +275,7 @@ def test_run_size_checked_before_any_build(tmp_path, capsys, monkeypatch,
     (["simulate", "--adversary", "best-response", "--br-cap", "31425"],
      "largest cap that fits is 1671"),
     (["impossibility", "--wrap-counter-cap", "31425"],
-     "counter cap 31425 needs a 9.48e+10-byte memory kernel"),
+     "cap 31425 needs 9.48e+10 bytes"),
 ])
 def test_counter_level_out_of_range_exits_two(tmp_path, capsys, monkeypatch,
                                               argv, message):
@@ -641,9 +641,10 @@ def test_trace_writes_csv(tmp_path, capsys):
      "largest horizon that fits is 151830"),
     (["trace", "--horizon", "7000000", "--replications", "1"],
      stochgame.engine, "_play",
-     "for 1 replication(s) the largest horizon that fits is 5765070"),
+     "largest horizon that fits is 5765070"),
     (["trace", "--horizon", "1", "--replications", "6000000"],
-     stochgame.engine, "_play", "2153 per replication"),
+     stochgame.engine, "_play",
+     "largest replication count that fits is 124649"),
 ])
 def test_oversized_run_exits_two(tmp_path, capsys, monkeypatch, argv, module,
                                  name, message):

@@ -126,7 +126,7 @@ def test_normalize_stays_in_unit_interval(bm_game):
 
 def test_normalize_identity_when_already_unit(bm_game):
     ng = normalize_payoffs(bm_game)
-    assert ng.is_identity
+    assert (ng.scale, ng.offset) == (1.0, 0.0)
     np.testing.assert_array_equal(ng.game.payoff, bm_game.payoff)
 
 
