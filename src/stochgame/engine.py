@@ -2,29 +2,28 @@
 
 Randomness contract (the part everything else leans on):
 
-* generator: Philox 4x64, one stream per replication, keyed by the 128-bit
-  pair (base_seed, replication index);
+* generator: Philox 4x64 keyed by the 128-bit pair (base_seed, 0); the
+  four words of the block at counter r + (t + 1)*2^64 are replication r's
+  uniforms at stage t, so every replication is its own stream, and one
+  call draws a stage's blocks for all replications;
 * per stage exactly four uniforms are consumed in the fixed order
   (player-1 action, player-2 action, transition, memory update), whether or
   not the play is already absorbed or the strategy is memoryless;
 * adversaries that randomize over components (mixtures) consume exactly one
-  extra uniform at episode start, before stage 1.
+  extra uniform at episode start: word 0 of stage 0.
 
-Because stream position is a pure function of the stage index, results are
-byte-identical for any replication chunking or stage blocking.  One play
+Because stream position is a pure function of the replication and stage
+indices, results are byte-identical for any replication chunking.  One play
 loop, _play, yields every stage to two readers: monte_carlo folds chunks of
 replications, played in order on the calling thread, into checkpoint
 statistics in chunk order; run_traces keeps whole traces.  Every draw reads
 games.cut_points tables; update_memory gets the flat (z, i, j) index.
-
-A play draws BLOCK_FLOATS uniforms (16 MB) at a time into a stage-major
-block, so that a draw reads its R uniforms contiguously, not a row apart;
-the streams fill a group buffer of about 2 MB, transposed in while cached.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +36,9 @@ from .games import (NormalizedGame, check_bytes, cut_points, is_absorbing,
                     transition_cuts)
 
 QUANTILE_LEVELS = (0.5, 0.9, 0.99, 1.0)
-CHUNK = 8192  # replications per chunk: bounds its generators' memory (about
-#               5.7 MB) and fixes the float summation order stats.csv pins
-BLOCK_FLOATS = 2_000_000  # uniforms a chunk draws at a time: 16 MB
+CHUNK = 8192  # replications per chunk: fixes the float summation order
+#               stats.csv pins
+TRACE_ROWS = 1 << 16  # trace.csv rows formatted at a time
 
 STATS_COLUMNS = ("n", "mean_avg_payoff", "payoff_se",
                  "max_memory_q50", "max_memory_q90", "max_memory_q99",
@@ -205,10 +204,6 @@ def _merge_hists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_stages(horizon: int, rep_count: int) -> int:
-    return min(horizon, max(16, BLOCK_FLOATS // (4 * rep_count)))
-
-
 def _play(ngame: NormalizedGame, sigma, tau, horizon: int, base_seed: int,
           rep_start: int, rep_count: int):
     """Play replications rep_start.. of (sigma, tau), yielding each stage's
@@ -220,33 +215,31 @@ def _play(ngame: NormalizedGame, sigma, tau, horizon: int, base_seed: int,
     sigma.prepare(horizon)
     tau.prepare(horizon)
 
-    gens = [np.random.Generator(np.random.Philox(
-        key=[base_seed, rep_start + r])) for r in range(rep_count)]
-    comp = None
-    if tau.init_draws:
-        comp = tau.start(np.array([g.random() for g in gens]))
+    bits = np.random.Philox(key=[base_seed, 0],
+                            counter=rep_start + 2 ** 64 - 1)
+    gen, state = np.random.Generator(bits), bits.state
+    words, u = np.empty((rep_count, 4)), np.empty((4, rep_count))
 
+    def draw():  # state's counter precedes the next stage's first block
+        bits.state = state
+        gen.random(out=words)
+        state["state"]["counter"][1] += 1
+        np.copyto(u, words.T)  # a draw reads its R uniforms contiguously
+
+    draw()
+    comp = tau.start(u[0]) if tau.init_draws else None
     z = np.full(rep_count, game.initial_state, dtype=np.int64)
     k = np.zeros(rep_count, dtype=np.int64)
-    block = _block_stages(horizon, rep_count)
-    u_block = np.empty((block, 4, rep_count))
-    group = np.empty((min(rep_count, max(1, BLOCK_FLOATS // (32 * block))),
-                      block, 4))
-    for start in range(1, horizon + 1, block):
-        b = min(block, horizon - start + 1)
-        for r0 in range(0, rep_count, len(group)):
-            for n, g in enumerate(gens[r0:r0 + len(group)], 1):
-                g.random(out=group[n - 1, :b])
-            u_block[:b, :, r0:r0 + n] = group[:n, :b].transpose(1, 2, 0)
-        for t, u in enumerate(u_block[:b], start):
-            i = sigma.act(t, z, k, u[0])
-            j = tau.act(t, z, k, comp, u[1])
-            zij = (z * ni + i) * nj + j
-            z_next = sample_rows(cuts.take(zij, axis=0), u[2])
-            x = game.payoff.take(zij)
-            yield t, z, k, i, j, x
-            k = sigma.update_memory(t, zij, k, i, j, z_next, u[3])
-            z = z_next
+    for t in range(1, horizon + 1):
+        draw()
+        i = sigma.act(t, z, k, u[0])
+        j = tau.act(t, z, k, comp, u[1])
+        zij = (z * ni + i) * nj + j
+        z_next = sample_rows(cuts.take(zij, axis=0), u[2])
+        x = game.payoff.take(zij)
+        yield t, z, k, i, j, x
+        k = sigma.update_memory(t, zij, k, i, j, z_next, u[3])
+        z = z_next
 
 
 def check_run(horizon: int, replications: int, base_seed: int,
@@ -269,13 +262,14 @@ def check_run(horizon: int, replications: int, base_seed: int,
 
 def check_traces(horizon: int, replications: int, base_seed: int) -> None:
     """check_run, and games.check_bytes on the traces' 41 bytes per
-    replication-stage (traces, absorbed mask), per replication its block
-    and group rows and 2 KB (generator, EpisodeTrace), and 64 KB fixed:
-    first on the replication count at horizon 1, then on the horizon."""
+    replication-stage (traces, absorbed mask), 1 KB per replication (its
+    two rows of uniforms, 64 bytes, and its EpisodeTrace, about 760), and
+    64 KB fixed: first on the replication count at horizon 1, then on the
+    horizon."""
     check_run(horizon, replications, base_seed)
 
     def need(h, r=replications):
-        return (1 << 16) + r * (2048 + 41 * h + 64 * _block_stages(h, r))
+        return (1 << 16) + r * (1024 + 41 * h)
     check_bytes("replication count", replications, lambda r: need(1, r))
     check_bytes("horizon", horizon, need)
 
@@ -395,16 +389,22 @@ def write_statistics_csv(stats: RunStatistics, path: str) -> None:
 
 
 def write_trace_csv(traces: list[EpisodeTrace], path: str) -> None:
+    """One row per replication-stage (see TRACE_COLUMNS).  Rows go out
+    TRACE_ROWS at a time, whose payoffs take at most Z*I*J values: each
+    distinct one is formatted once."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for trace in traces:
-            for t in range(trace.horizon):
-                writer.writerow([
-                    fmt(trace.replication), fmt(t + 1),
-                    fmt(int(trace.stage_state[t])),
-                    fmt(int(trace.stage_memory[t])),
-                    fmt(int(trace.stage_action1[t])),
-                    fmt(int(trace.stage_action2[t])),
-                    fmt(float(trace.stage_payoff[t])),
-                ])
+            columns = (trace.stage_state, trace.stage_memory,
+                       trace.stage_action1, trace.stage_action2)
+            for a in range(0, trace.horizon, TRACE_ROWS):
+                rows = slice(a, a + TRACE_ROWS)
+                bits, at = np.unique(trace.stage_payoff[rows].view(np.int64),
+                                     return_inverse=True)  # keeps -0.0
+                text = [fmt(x) for x in bits.view(np.float64).tolist()]
+                writer.writerows(zip(
+                    itertools.repeat(trace.replication),
+                    range(a + 1, a + 1 + len(at)),
+                    *(c[rows].tolist() for c in columns),
+                    map(text.__getitem__, at.tolist())))

@@ -1,5 +1,6 @@
 """Exact-arithmetic references that the tests compare the library against."""
 
+import csv
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ from stochgame.adversary import (TAIL_TOL, BestResponse,
                                  MixedClockedAdversary,
                                  WorthlessnessCertificate, WorthlessnessError,
                                  WorthlessnessResult, big_match_indices)
+from stochgame.engine import TRACE_COLUMNS, fmt
 from stochgame.games import MAX_TABLE_BYTES, stage_row
 
 
@@ -356,4 +358,23 @@ def adversary_json_reference(delta: float, horizon: int, memory_states: int,
         "components": [sorted(map(list, c)) for c in comps],
     }, fh)
     fh.write("\n")
+    return fh.getvalue()
+
+
+def trace_csv_reference(traces) -> str:
+    """trace.csv as the CLI once wrote it: every cell formatted on its own
+    by engine.fmt.  write_trace_csv must give the same bytes."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(TRACE_COLUMNS)
+    for trace in traces:
+        for t in range(trace.horizon):
+            writer.writerow([
+                fmt(trace.replication), fmt(t + 1),
+                fmt(int(trace.stage_state[t])),
+                fmt(int(trace.stage_memory[t])),
+                fmt(int(trace.stage_action1[t])),
+                fmt(int(trace.stage_action2[t])),
+                fmt(float(trace.stage_payoff[t])),
+            ])
     return fh.getvalue()

@@ -390,7 +390,7 @@ def test_from_counter_strategy_rejects_bad_cap(bm, config, cache):
 
 @pytest.mark.parametrize("name, limit", [
     ("cap", 1 << 16), ("best-response", 1 << 12), ("always-c", 1 << 20),
-    ("cap-40", 1 << 22), ("trace-r1", 1 << 20), ("trace-r1000", 1 << 22)])
+    ("cap-40", 1 << 22), ("trace-r1", 1 << 18), ("trace-r1000", 1 << 22)])
 def test_every_refusal_names_a_size_that_fits(bm, config, cache, monkeypatch,
                                               name, limit):
     """Under a small byte limit, the size a refusal names builds, and one

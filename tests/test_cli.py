@@ -248,7 +248,7 @@ def test_workers_below_one_exit_two(tmp_path, capsys, command, extra):
       "1"], "checkpoints must lie in [1, 100000]"),
     (["trace", "--adversary", "best-response", "--br-cap", "300",
       "--horizon", "100000", "--replications", "1000"],
-     "largest horizon that fits is 5715"),
+     "largest horizon that fits is 6520"),
 ])
 def test_run_size_checked_before_any_build(tmp_path, capsys, monkeypatch,
                                            argv, message):
@@ -641,10 +641,10 @@ def test_trace_writes_csv(tmp_path, capsys):
      "largest horizon that fits is 151830"),
     (["trace", "--horizon", "7000000", "--replications", "1"],
      stochgame.engine, "_play",
-     "largest horizon that fits is 5765070"),
+     "largest horizon that fits is 6545582"),
     (["trace", "--horizon", "1", "--replications", "6000000"],
      stochgame.engine, "_play",
-     "largest replication count that fits is 124649"),
+     "largest replication count that fits is 251990"),
 ])
 def test_oversized_run_exits_two(tmp_path, capsys, monkeypatch, argv, module,
                                  name, message):

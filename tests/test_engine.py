@@ -5,6 +5,7 @@ import hashlib
 import threading
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +19,16 @@ from stochgame.engine import (CounterStrategy, EpisodeTrace,
                               StationaryStrategy, TableStrategy,
                               default_checkpoints, monte_carlo, run_traces,
                               write_statistics_csv, write_trace_csv)
-from stochgame.adversary import (PublicMemoryStrategyTable,
+from stochgame.adversary import (MixedClockedAdversary,
+                                 PublicMemoryStrategyTable,
                                  build_worthlessness_adversary)
 from stochgame.counter import FeasibilityError
 from stochgame.games import PROB_TOL
 
 from conftest import make_rng
-from reference import move_law
+from reference import move_law, trace_csv_reference
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -69,13 +73,14 @@ def test_counter_solves_only_the_levels_play_reaches(bm, config,
     stats = monte_carlo(bm, sigma, uniform_tau, 2000, 4096, 1,
                         checkpoints=(2000,))
     deepest = stats.max_memory_quantiles[2000][1.0]
-    assert len(cache) == deepest + 1 == 80
+    assert len(cache) == deepest + 1 == 86
 
 
-def test_uniform_block_is_held_once(bm, uniform_tau):
-    """One chunk's traced peak stays below 1.5 times the BLOCK_FLOATS
-    block plus its (R,) arrays, over a run of several blocks: the streams
-    draw into one 16 MB block, not into copies or a whole run's worth."""
+def test_play_holds_one_stage_of_uniforms(bm, uniform_tau):
+    """A play's traced peak stays under 64 KB plus, per replication, its
+    two rows of four uniforms (the draw and its transpose) and sixteen
+    (R,) arrays of the stage: no block of stages and nothing that grows
+    with the horizon."""
     sigma = StationaryStrategy(np.full((3, 2), 0.5))
     for reps, horizon in ((4096, 2000), (256, 12000)):
         tracemalloc.start()
@@ -86,8 +91,7 @@ def test_uniform_block_is_held_once(bm, uniform_tau):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 4 * reps * horizon > 3 * engine.BLOCK_FLOATS
-        assert peak < 1.5 * 8 * engine.BLOCK_FLOATS + 2048 * reps
+        assert peak < (1 << 16) + reps * (2 * 4 * 8 + 16 * 8)
 
 
 @pytest.mark.parametrize("reps, horizon", [(20000, 1), (20000, 4),
@@ -95,9 +99,8 @@ def test_uniform_block_is_held_once(bm, uniform_tau):
 def test_run_traces_allocates_what_it_counts(bm, uniform_tau, monkeypatch,
                                              reps, horizon):
     """run_traces' size check counts every byte the run allocates: the
-    traces, the uniform block, and each replication's generator and
-    EpisodeTrace.  With the limit one byte under the traced peak, the run
-    is refused."""
+    traces, and each replication's uniforms and EpisodeTrace.  With the
+    limit one byte under the traced peak, the run is refused."""
     sigma = StationaryStrategy(np.full((3, 2), 0.5))
     tracemalloc.start()
     try:
@@ -110,7 +113,7 @@ def test_run_traces_allocates_what_it_counts(bm, uniform_tau, monkeypatch,
         run_traces(bm, sigma, uniform_tau, horizon, reps, 1)
 
 
-@pytest.mark.parametrize("reps, longest", [(1, 5_765_070), (1000, 5715)])
+@pytest.mark.parametrize("reps, longest", [(1, 6_545_582), (1000, 6520)])
 def test_trace_refusal_names_the_longest_horizon(reps, longest):
     """The horizon the refusal names is the longest check_traces accepts."""
     with pytest.raises(ValueError) as info:
@@ -252,6 +255,54 @@ def test_run_traces_independent_of_run_size(bm, counter_sigma, uniform_tau,
                                           getattr(full[r], f.name))
 
 
+def test_stage_uniforms_are_philox_blocks(bm, monkeypatch):
+    """Replication r's uniforms at stage t are the four words of the block
+    at counter r + (t + 1)*2^64 of the Philox keyed (seed, 0), and the
+    mixture's component draw is word 0 of stage 0; a play of replications
+    5 to 8 makes one Philox."""
+    seed, rep_start, reps, horizon = 29, 5, 4, 7
+    table = PublicMemoryStrategyTable(  # always continue
+        memory_states=1, horizon=None, action=np.array([[[0.0, 1.0]]]),
+        memory_kernel=np.ones((1, 1, 2, 2, 3, 1)))
+    seen = {}
+
+    class SpySigma(TableStrategy):
+        def act(self, t, z, k, u):
+            seen[t, 0] = u.copy()
+            return super().act(t, z, k, u)
+
+        def update_memory(self, t, zij, k, i, j, z_next, u):
+            seen[t, 3] = u.copy()
+            return super().update_memory(t, zij, k, i, j, z_next, u)
+
+    class SpyTau(MixedClockedAdversary):
+        def start(self, u0):
+            seen[0, 0] = u0.copy()
+            return super().start(u0)
+
+        def act(self, t, z, m, comp, u):
+            seen[t, 1] = u.copy()
+            return super().act(t, z, m, comp, u)
+
+    mixture = build_worthlessness_adversary(bm, table, 0.1, horizon).mixture
+    tau = SpyTau(mixture.first, mixture.n_components, mixture.indices)
+    philox, made = np.random.Philox, []
+    monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: (
+        made.append(kwargs) or philox(*args, **kwargs)))
+    for _ in engine._play(bm, SpySigma(table), tau, horizon, seed, rep_start,
+                          reps):
+        pass
+    assert len(made) == 1
+    assert sorted(seen) == [(0, 0)] + [(t, w) for t in range(1, horizon + 1)
+                                       for w in (0, 1, 3)]
+    for (t, word), u in seen.items():
+        for r in range(reps):
+            block = np.random.Generator(philox(
+                key=[seed, 0], counter=rep_start + r + (t + 1) * 2 ** 64 - 1
+            )).random(4)
+            assert u[r] == block[word]
+
+
 def test_exact_absorption_chain_oracle(bm, live):
     """Stationary optimal play against the all-zeros column: the absorb
     time is geometric, so the expected average payoff has a closed form."""
@@ -270,10 +321,10 @@ def test_frozen_seed_regression(bm, counter_sigma, uniform_tau):
     """Bit-exact pipeline fingerprint; a change here means the randomness
     contract (stream layout or consumption order) moved."""
     stats = monte_carlo(bm, counter_sigma, uniform_tau, 50, 200, 7)
-    assert stats.mean_avg_payoff[50].hex() == "0x1.f972474538ef3p-2"
-    assert stats.payoff_se[50].hex() == "0x1.90430e4efcbe2p-8"
+    assert stats.mean_avg_payoff[50].hex() == "0x1.fcd35a858793dp-2"
+    assert stats.payoff_se[50].hex() == "0x1.85cf141a37208p-8"
     assert stats.max_memory_quantiles[50] == {0.5: 4, 0.9: 7, 0.99: 10,
-                                              1.0: 10}
+                                              1.0: 12}
 
 
 def test_default_checkpoints_grid():
@@ -442,8 +493,9 @@ def test_every_adapter_draws_as_recorded():
     a cumulative entry exactly."""
     horizon, seed = 60, 23
     rng = make_rng(70)
-    u = np.random.Generator(np.random.Philox(key=[seed, 0])).random(
-        (horizon, 4))
+    u = np.array([np.random.Generator(np.random.Philox(  # replication 0
+        key=[seed, 0], counter=(t + 1) * 2 ** 64 - 1)).random(4)
+        for t in range(1, horizon + 1)])
     transition = np.zeros((3, 2, 3, 3))
     transition[:2] = rng.dirichlet([4.0, 4.0, 0.3], size=(2, 2, 3))
     transition[0, 1, 2] = 0.6 + PROB_TOL, -PROB_TOL, 0.4
@@ -468,7 +520,7 @@ def test_every_adapter_draws_as_recorded():
                 digest.update(arr.tobytes())
             digest.update(str(tr.absorption_stage).encode())
     assert digest.hexdigest() == (
-        "0b2058966bbdd8a3127517c700da1b1337203d6a96054e20b8e95bc8afd330d4")
+        "0097bddd53e929ef61398524c2cf899db77cef3d4a53e821525d293b942009d7")
 
 
 def test_alternating_adversary_by_stage_parity(bm, live):
@@ -499,6 +551,37 @@ def test_statistics_csv_format(tmp_path, bm, counter_sigma, uniform_tau):
     # %.17g survives a float round trip
     mean_field = lines[-1].split(",")[1]
     assert float(mean_field) == stats.mean_avg_payoff[100]
+
+
+def test_trace_csv_formats_as_each_cell_alone(tmp_path, monkeypatch):
+    """write_trace_csv, which formats each distinct payoff once, writes the
+    bytes of the per-cell reference writer on the benchmark's generated
+    game, whose live payoffs need 17 significant digits, also across the
+    row blocks and on a -0.0 payoff."""
+    monkeypatch.setattr(engine, "TRACE_ROWS", 1000)
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+    payoff, transition = workloads.generated_game(1)
+    ngame = normalize_payoffs(GameSpec(
+        workloads.GAME_STATES, workloads.GAME_ACTIONS1,
+        workloads.GAME_ACTIONS2, payoff, transition, 0))
+    sigma = StationaryStrategy(np.tile([0.002, 0.998], (4, 1)))  # mostly C
+    tau = stationary_adversary(np.full((4, 2), 0.5))
+    traces = run_traces(ngame, sigma, tau, 2500, 2, 5)
+    signed = traces[0].stage_payoff.copy()
+    signed[::7], signed[1::7] = -0.0, 0.0
+    traces.append(dataclasses.replace(traces[0], replication=2,
+                                      stage_payoff=signed))
+    payoffs = set(np.concatenate([t.stage_payoff for t in traces]).tolist())
+    assert any(float("%.16g" % x) != x for x in payoffs)
+    assert len(payoffs) <= payoff.size
+    path = tmp_path / "trace.csv"
+    write_trace_csv(traces, str(path))
+    got = path.read_bytes().decode("utf-8").split("\r\n")
+    want = trace_csv_reference(traces).split("\r\n")
+    assert len(got) == len(want) == 2 + 3 * 2500
+    assert [n for n, (a, b) in enumerate(zip(got, want)) if a != b] == []
+    assert got[5001 + 7].endswith(",-0") and got[5001 + 8].endswith(",0")
 
 
 def test_trace_csv_format(tmp_path, bm, counter_sigma, uniform_tau):

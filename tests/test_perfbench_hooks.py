@@ -49,16 +49,18 @@ def test_traced_job_counts_adversary_components(tmp_path):
 
 
 # The sha256 of each job's outputs at seed 1 (result.json's digest): the
-# determinism contract, which a speed-up may not move.
+# determinism contract, which a speed-up may not move.  They moved on
+# purpose when each replication's stream moved from its own Philox key into
+# the counter of one Philox per play.
 DIGESTS = {
     "mc-uniform":
-        "dc03d1f2abac067c0b3c2963727f554dc839742ea0e028646b8e697e46da6873",
+        "f0323914ef8443b5e237234ddf5a15c1828561c9a259238036147f4b1e644a13",
     "mc-best-response":
-        "85871279f7494a4f234546d68b9017a6c3eccfaf89be32a6954b158c8768d624",
+        "5c99328a4d817416ddf5cd74c8070987a1b4b0a42f908635518ab81def08b1e5",
     "impossibility":
-        "43ba6787511f1cc0ce05642706646b3ca0bbb688605448b0871683a92bdd3519",
+        "7f8e2f8a2b0addea697abefed2773f82a09099ad50b7ad5bb3537c036acf7e65",
     "solve-cache":
-        "d975107fa57db47ff1d536b99cbffc562a82d5d9cf015eedc87965520d4c9f9a",
+        "98169cbaa02cd41514d8978f0dd522b60da9f7362c36550e2ff675c84d36ae74",
 }
 
 
